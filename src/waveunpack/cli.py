@@ -11,7 +11,12 @@ from . import pipeline
 from .disasm import DecodeError, decode_one
 from .scenario_gen import UnknownScenarioError, generate_scenario
 from .taint_engine import MissingImageError
-from .trace_model import TraceFormatError, parse_trace, write_trace
+from .trace_model import (
+    TraceFormatError,
+    check_page_size,
+    parse_trace,
+    write_trace,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,8 +67,12 @@ def cmd_unpack(args) -> int:
     except TraceFormatError as exc:
         print(f"error: {args.trace}: {exc}", file=sys.stderr)
         return 1
-    if args.page_size:
-        trace.page_size = args.page_size
+    if args.page_size is not None:
+        try:
+            trace.page_size = check_page_size(args.page_size)
+        except ValueError as exc:
+            print(f"error: --page-size: {exc}", file=sys.stderr)
+            return 1
 
     taint_log = open(args.taint_log, "w", encoding="utf-8") if args.taint_log else None
     try:

@@ -8,7 +8,9 @@ else decodes to an error; speculative scans simply skip those offsets.
 
 from __future__ import annotations
 
+import re
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 
 
@@ -110,34 +112,78 @@ def decode_one(data: bytes, vaddr: int) -> DecodedInstr:
     raise UnknownOpcode(f"opcode {op:#04x} outside subset")
 
 
-def _in_ranges(value: int, ranges) -> bool:
-    return any(lo <= value < hi for lo, hi in ranges)
+_REL_LEADS = re.compile(rb"[\xe8\xe9\xeb]")
+_IMM32_LEADS = frozenset((0x68, *range(0xB8, 0xC0)))  # push imm32, mov r32, imm32
+_MEM32_MODRM = (0x15, 0x25)  # after 0xff: call/jmp dword [disp32]
+
+
+def _normalise_ranges(ranges) -> tuple[list[int], list[int]]:
+    """Sorted, disjoint (lo, hi) bounds covering the union of non-empty ranges."""
+    los: list[int] = []
+    his: list[int] = []
+    for lo, hi in sorted((lo, hi) for lo, hi in ranges if lo < hi):
+        if his and lo <= his[-1]:
+            his[-1] = max(his[-1], hi)
+        else:
+            los.append(lo)
+            his.append(hi)
+    return los, his
 
 
 def scan_refs(data: bytes, base: int, candidate_ranges) -> set[tuple[int, int]]:
     """Harvest cross-references from a dump without known boundaries.
 
-    Decodes at every byte offset and keeps absolute or relative operands
-    landing in a candidate range, then scans raw little-endian dwords at
-    every offset for data references. Over-approximates by design: a false
-    reference only over-merges groups, which keeps output self-contained.
+    Equivalent to decoding at every byte offset and keeping absolute or
+    relative operands landing in a candidate range, plus every raw
+    little-endian dword (at any offset) landing in one as a data reference.
+    Over-approximates by design: a false reference only over-merges groups,
+    which keeps output self-contained.
+
+    Runs in one pass whose work grows with the dump size plus the number of
+    hits, not with the number of ranges: dwords at the four alignments are
+    unpacked in bulk and pre-filtered against the ranges' hull, and only
+    hits are bisected. Absolute operands are exactly the dword hits whose
+    preceding bytes form a push/mov imm32 or ff 15/ff 25 lead; relative
+    branches are found by searching for their opcode bytes.
     """
     refs: set[tuple[int, int]] = set()
-    ranges = list(candidate_ranges)
-    if not ranges:
+    los, his = _normalise_ranges(candidate_ranges)
+    if not los:
         return refs
-    for off in range(len(data)):
+    lo_all, hi_all = los[0], his[-1]
+
+    def inside(value: int) -> bool:
+        i = bisect_right(los, value)
+        return i > 0 and value < his[i - 1]
+
+    n = len(data)
+    for align in range(min(4, n - 3)):
+        words = struct.unpack_from(f"<{(n - align) // 4}I", data, align)
+        hits = [j for j, w in enumerate(words) if lo_all <= w < hi_all]
+        for j in hits:
+            word = words[j]
+            if not inside(word):
+                continue
+            p = align + 4 * j
+            refs.add((base + p, word))
+            if p >= 1 and data[p - 1] in _IMM32_LEADS:
+                refs.add((base + p - 1, word))
+            if p >= 2 and data[p - 2] == 0xFF and data[p - 1] in _MEM32_MODRM:
+                refs.add((base + p - 2, word))
+
+    for m in _REL_LEADS.finditer(data):
+        off = m.start()
         site = base + off
-        try:
-            ins = decode_one(data[off:off + 6], site)
-        except DecodeError:
-            ins = None
-        if ins is not None:
-            for target in (ins.abs_ref, ins.rel_target):
-                if target is not None and _in_ranges(target, ranges):
-                    refs.add((site, target))
-        if off + 4 <= len(data):
-            word = _u32(data, off)
-            if _in_ranges(word, ranges):
-                refs.add((site, word))
+        if data[off] == 0xEB:
+            if off + 2 > n:
+                continue
+            rel = data[off + 1]
+            target = (site + 2 + rel - ((rel & 0x80) << 1)) & 0xFFFFFFFF
+        else:
+            if off + 5 > n:
+                continue
+            # unsigned rel32 wraps to the same target as the signed one
+            target = (site + 5 + _u32(data, off + 1)) & 0xFFFFFFFF
+        if inside(target):
+            refs.add((site, target))
     return refs

@@ -194,9 +194,23 @@ def write_outputs(result: PipelineResult, out_dir, no_timing: bool = False,
     return report
 
 
+_PAIR_BATCH = 1024
+
+
 def _write_pairs(path: Path, pairs: dict[int, int]):
+    """Write sorted [v, b] pairs as one JSON array, the bytes json.dump gives.
+
+    json.dumps runs the C encoder, which json.dump never does; encoding in
+    batches keeps the text held in memory small. Tuples encode as arrays.
+    """
+    items = sorted(pairs.items())
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([[v, b] for v, b in sorted(pairs.items())], fh)
+        fh.write("[")
+        for i in range(0, len(items), _PAIR_BATCH):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps(items[i:i + _PAIR_BATCH])[1:-1])
+        fh.write("]")
 
 
 class CheckError(Exception):

@@ -9,6 +9,7 @@ instruction are dropped and reported.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .disasm import scan_refs
@@ -90,11 +91,14 @@ def merge_groups(intervals: list[Interval],
                  refs: set[tuple[int, int]]) -> list[MemoryGroup]:
     """Merge intervals into connected components under cross-referencing."""
     intervals = sorted(intervals, key=lambda iv: iv.base)
+    bases = [iv.base for iv in intervals]
 
     def owner(addr: int) -> int | None:
-        for i, iv in enumerate(intervals):
-            if iv.contains(addr):
-                return i
+        # intervals are disjoint, so only the last one starting at or
+        # below addr can hold it
+        i = bisect_right(bases, addr) - 1
+        if i >= 0 and intervals[i].contains(addr):
+            return i
         return None
 
     parent = list(range(len(intervals)))

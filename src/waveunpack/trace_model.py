@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 FORMAT_VERSION = 1
 DEFAULT_PAGE_SIZE = 4096
+MIN_PAGE_SIZE = 0x1000  # PE sections are laid out at 0x1000 alignment
 X86_MAX_INSTR_LEN = 15
 
 _U32 = 1 << 32
@@ -34,6 +35,14 @@ class TraceFormatError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def check_page_size(size) -> int:
+    """Return `size` if it is a power of two >= MIN_PAGE_SIZE, else raise."""
+    if type(size) is not int or size < MIN_PAGE_SIZE or size & (size - 1):
+        raise ValueError(
+            f"page size {size!r} is not a power of two >= {MIN_PAGE_SIZE:#x}")
+    return size
 
 
 @dataclass(frozen=True)
@@ -224,6 +233,13 @@ def _check_instr_invariants(ev: TraceEvent, line):
         mapping[loc.g] = key
 
 
+def _header_page_size(size) -> int:
+    try:
+        return check_page_size(size)
+    except ValueError as exc:
+        raise TraceFormatError(str(exc), 1) from None
+
+
 def parse_trace(data) -> SystemTrace:
     """Parse a JSON-Lines byte stream into a validated SystemTrace."""
     if isinstance(data, str):
@@ -238,7 +254,7 @@ def parse_trace(data) -> SystemTrace:
     if not isinstance(header, dict) or "format" not in header:
         raise TraceFormatError("first line is not a trace header", 1)
     trace = SystemTrace(
-        page_size=header.get("page_size", DEFAULT_PAGE_SIZE),
+        page_size=_header_page_size(header.get("page_size", DEFAULT_PAGE_SIZE)),
         version=header["format"],
     )
 
@@ -307,7 +323,8 @@ def _dumps(obj) -> bytes:
 
 def write_trace(trace: SystemTrace) -> bytes:
     """Serialize canonically: sorted keys, lower-case hex, no extra whitespace."""
-    out = [_dumps({"format": trace.version, "page_size": trace.page_size})]
+    out = [_dumps({"format": trace.version,
+                   "page_size": _header_page_size(trace.page_size)})]
     last_seq = None
     image_seen = False
     instr_pids_before_image = set()
@@ -337,36 +354,54 @@ class ObservedMemory:
     """Last-known byte value per (pid, vaddr), replayed in event order.
 
     Fed from image bytes, instruction encodings and explicit write values;
-    reads reveal nothing new. Page renders zero-fill unknown bytes, which is
+    reads reveal nothing new. Bytes live in one zero-filled bytearray per
+    touched (pid, page base), so a page render is one copy. Zero-filling is
     the only option for memory never touched by a recorded effect.
     """
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE):
-        self.page_size = page_size
-        self._mem: dict[tuple[int, int], int] = {}
+        self.page_size = check_page_size(page_size)
+        self._mask = page_size - 1
+        self._pages: dict[tuple[int, int], bytearray] = {}
+
+    def _page_for(self, pid: int, page_base: int) -> bytearray:
+        pg = self._pages.get((pid, page_base))
+        if pg is None:
+            pg = self._pages[(pid, page_base)] = bytearray(self.page_size)
+        return pg
+
+    def _store(self, pid: int, vaddr: int, data: bytes):
+        pos = 0
+        while pos < len(data):
+            off = (vaddr + pos) & self._mask
+            n = min(self.page_size - off, len(data) - pos)
+            self._page_for(pid, vaddr + pos - off)[off:off + n] = data[pos:pos + n]
+            pos += n
 
     def record_event(self, ev: TraceEvent):
-        if ev.kind == "image":
-            base = ev.base
-            for i, b in enumerate(ev.bytes):
-                self._mem[(ev.pid, base + i)] = b
-        elif ev.kind == "instr":
-            for i, b in enumerate(ev.bytes):
-                self._mem[(ev.pid, ev.vaddr + i)] = b
+        if ev.kind == "instr":
+            pages = self._pages
+            mask = self._mask
+            code = ev.bytes
+            off = ev.vaddr & mask
+            end = off + len(code)
+            pg = pages.get((ev.pid, ev.vaddr - off))
+            if pg is not None and end <= self.page_size:
+                pg[off:end] = code  # fast path: one already-touched page
+            else:
+                self._store(ev.pid, ev.vaddr, code)
             for loc in ev.writes:
-                self._mem[(loc.space_pid, loc.v)] = loc.val
+                v = loc.v
+                off = v & mask
+                pg = pages.get((loc.space_pid, v - off))
+                if pg is None:
+                    pg = self._page_for(loc.space_pid, v - off)
+                pg[off] = loc.val
+        elif ev.kind == "image":
+            self._store(ev.pid, ev.base, ev.bytes)
 
     def page(self, pid: int, page_base: int) -> bytes:
         if page_base % self.page_size:
             raise ValueError(f"page base {page_base:#x} is not page-aligned")
-        buf = bytearray(self.page_size)
-        for off in range(self.page_size):
-            val = self._mem.get((pid, page_base + off))
-            if val is not None:
-                buf[off] = val
-        return bytes(buf)
-
-
-def observed_page(store: ObservedMemory, pid: int, page_base: int) -> bytes:
-    """Render one page of last-known memory, zero-filled where unknown."""
-    return store.page(pid, page_base)
+        pg = self._pages.get((pid, page_base))
+        return bytes(pg) if pg is not None else bytes(self.page_size)

@@ -1,14 +1,17 @@
 """Independent reference implementations used only as test oracles.
 
-Nothing here may import from the production modules it checks: the taint
-reference is a label-set rewrite of the dataflow rules, and the PE reader
-is a from-scratch struct parser.
+Nothing here may import from the production code it checks: the taint
+reference is a label-set rewrite of the dataflow rules, the PE reader is a
+from-scratch struct parser, and the reference scanner decodes at every byte
+offset with the single-instruction decoder, which has its own table tests.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+
+from waveunpack.disasm import DecodeError, decode_one
 
 
 # --- naive set-of-labels taint reference ------------------------------------
@@ -162,3 +165,34 @@ def read_pe(data: bytes) -> ParsedPe:
             pe.imports[dll] = fns
             pos += 20
     return pe
+
+
+# --- decode-at-every-offset reference scanner -------------------------------
+
+def _in_ranges(value: int, ranges) -> bool:
+    return any(lo <= value < hi for lo, hi in ranges)
+
+
+def reference_scan_refs(data: bytes, base: int,
+                        candidate_ranges) -> set[tuple[int, int]]:
+    """Decode at every byte offset and test every operand and raw dword
+    against a linear list of ranges: the specification of scan_refs."""
+    refs: set[tuple[int, int]] = set()
+    ranges = list(candidate_ranges)
+    if not ranges:
+        return refs
+    for off in range(len(data)):
+        site = base + off
+        try:
+            ins = decode_one(data[off:off + 6], site)
+        except DecodeError:
+            ins = None
+        if ins is not None:
+            for target in (ins.abs_ref, ins.rel_target):
+                if target is not None and _in_ranges(target, ranges):
+                    refs.add((site, target))
+        if off + 4 <= len(data):
+            word = struct.unpack_from("<I", data, off)[0]
+            if _in_ranges(word, ranges):
+                refs.add((site, word))
+    return refs

@@ -85,6 +85,25 @@ class TestUnpack:
         assert main(["unpack", str(bad), "-o", str(tmp_path / "o")]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_zero_page_size_header_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"format":1,"page_size":0}\n')
+        assert main(["unpack", str(bad), "-o", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "line 1: page size 0 is not a power of two" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("size", ["100", "0", "12288"])
+    def test_bad_page_size_option_exits_1(self, d1_files, tmp_path, capsys,
+                                          size):
+        trace, _ = d1_files
+        out = tmp_path / "o"
+        assert main(["unpack", str(trace), "-o", str(out),
+                     "--page-size", size]) == 1
+        assert f"--page-size: page size {size} is not a power of two" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_determinism_byte_identical_outputs(self, d1_files, tmp_path):
         trace, _ = d1_files
         outs = []

@@ -11,6 +11,10 @@ from waveunpack.disasm import (
     decode_one,
     scan_refs,
 )
+from oracles import reference_scan_refs
+from waveunpack import regroup
+from waveunpack.pipeline import analyze
+from waveunpack.scenario_gen import SCENARIO_IDS, generate_scenario
 
 
 class TestDecodeOne:
@@ -113,3 +117,72 @@ class TestScanRefs:
         cands = [(0x100, 0x200), (0x10000, 0x20000)]
         assert scan_refs(dump, 0x400000, cands) == scan_refs(dump, 0x400000,
                                                              cands)
+
+
+# lead and ModRM bytes of every instruction that yields a reference
+_DENSE = (0x68, *range(0xB8, 0xC0), 0xE8, 0xE9, 0xEB, 0xFF, 0x15, 0x25)
+
+
+@st.composite
+def scan_inputs(draw):
+    base = draw(st.one_of(st.integers(0, 2**32 - 1),
+                          st.integers(0xFFFFFFF0, 0xFFFFFFFF),
+                          st.integers(0, 64)))
+    # values near the dump, near zero (where wrapped rel targets land) or anywhere
+    anchor = st.one_of(
+        st.integers(base - 64, base + 256).map(lambda v: v & 0xFFFFFFFF),
+        st.integers(0, 256),
+        st.integers(0, 2**32 - 1))
+    chunks = draw(st.lists(st.one_of(
+        st.sampled_from(_DENSE).map(lambda b: bytes([b])),
+        st.binary(min_size=1, max_size=1),
+        anchor.map(lambda v: v.to_bytes(4, "little")),
+        # rel32 displacements landing near the branch
+        st.integers(-64, 64).map(lambda r: (r & 0xFFFFFFFF).to_bytes(4, "little"))),
+        max_size=24))
+    data = b"".join(chunks)
+    data = data[:max(0, len(data) - draw(st.integers(0, 7)))]
+    ranges = draw(st.lists(st.one_of(
+        st.tuples(anchor, st.integers(-4, 300)).map(lambda t: (t[0], t[0] + t[1])),
+        st.just((0, 0))), max_size=6))
+    return data, base, ranges
+
+
+class TestScanEquivalence:
+    """scan_refs must return exactly the decode-everywhere reference set."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(scan_inputs())
+    def test_matches_reference(self, case):
+        data, base, ranges = case
+        assert scan_refs(data, base, ranges) == \
+            reference_scan_refs(data, base, ranges)
+
+    @pytest.mark.parametrize("ins", [
+        b"\x68\xf0\xff\xff\xff", b"\xbf\x10\xff\xff\xff",
+        b"\xe8\x04\x00\x00\x00", b"\xe9\xf0\xff\xff\xff", b"\xeb\x7f",
+        b"\xff\x15\xf0\xff\xff\xff", b"\xff\x25\x10\x00\x00\x00"])
+    @pytest.mark.parametrize("length", range(8))
+    def test_truncated_tails(self, ins, length):
+        # every operand lands in a range, rel targets after wrapping past 2**32
+        base = 0xFFFFFFF8
+        ranges = [(0xFFFFFF00, 2**32), (0, 0x100), (5, 5), (0x80, 0x10)]
+        dump = ins[:length]
+        refs = scan_refs(dump, base, ranges)
+        assert refs == reference_scan_refs(dump, base, ranges)
+        assert any(site == base for site, _ in refs) == (length >= len(ins))
+
+    @pytest.mark.parametrize("scenario", SCENARIO_IDS)
+    def test_every_scenario_interval(self, scenario, monkeypatch):
+        scanned = []
+
+        def checked(data, base, candidate_ranges):
+            got = scan_refs(data, base, candidate_ranges)
+            assert got == reference_scan_refs(data, base, candidate_ranges)
+            scanned.append(len(data))
+            return got
+
+        monkeypatch.setattr(regroup, "scan_refs", checked)
+        trace, _ = generate_scenario(scenario, 3)
+        analyze(trace)
+        assert scanned

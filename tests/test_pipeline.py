@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 
 from oracles import read_pe
-from waveunpack.pipeline import analyze, check_outputs, write_outputs
+import pytest
+
+from waveunpack.pipeline import _write_pairs, analyze, check_outputs, write_outputs
 from waveunpack.scenario_gen import TARGET_PID, generate_scenario
 
 
@@ -102,6 +104,15 @@ class TestReport:
         assert "timing" not in written
         on_disk = json.loads((tmp_path / "o" / "report.json").read_text())
         assert "timing" not in on_disk
+
+
+@pytest.mark.parametrize("n", [0, 1, 1024, 1025, 2500])
+def test_pair_file_matches_json_dump(tmp_path, n):
+    # batched encoding must give the bytes of one json.dump of the list
+    pairs = {0x400000 + 7 * i: (i * 31) % 256 for i in range(n, 0, -1)}
+    _write_pairs(tmp_path / "p.json", pairs)
+    assert (tmp_path / "p.json").read_text() == \
+        json.dumps([[v, b] for v, b in sorted(pairs.items())])
 
 
 class TestCheckOutputs:

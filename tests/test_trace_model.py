@@ -13,7 +13,6 @@ from waveunpack.trace_model import (
     SystemTrace,
     TraceEvent,
     TraceFormatError,
-    observed_page,
     parse_trace,
     write_trace,
 )
@@ -109,6 +108,14 @@ class TestParse:
         with pytest.raises(TraceFormatError, match="header"):
             parse_trace(b"")
 
+    @pytest.mark.parametrize("size", [0, 100, 0x800, 0x3000, -4096, "4096", None])
+    def test_bad_header_page_size_rejected(self, size):
+        header = json.dumps({"format": 1, "page_size": size}).encode()
+        with pytest.raises(TraceFormatError, match="line 1: page size"):
+            parse_trace(header + b"\n")
+        with pytest.raises(TraceFormatError, match="line 1: page size"):
+            write_trace(SystemTrace(page_size=size))
+
     def test_empty_event_list_is_header_only(self):
         blob = write_trace(SystemTrace(events=[]))
         assert blob == b'{"format":1,"page_size":4096}\n'
@@ -150,13 +157,13 @@ def test_round_trip_property(trace):
 class TestObservedMemory:
     def test_untouched_page_is_zero(self):
         store = ObservedMemory()
-        assert observed_page(store, 1, 0x4000) == bytes(4096)
+        assert store.page(1, 0x4000) == bytes(4096)
 
     def test_image_page_round_trips(self):
         store = ObservedMemory()
         data = bytes(range(256)) * 16
         store.record_event(_image(base=0x4000, data=data))
-        assert observed_page(store, 1, 0x4000) == data
+        assert store.page(1, 0x4000) == data
 
     def test_write_overrides_image_byte(self):
         store = ObservedMemory()
@@ -164,13 +171,13 @@ class TestObservedMemory:
         store.record_event(_instr(
             1, vaddr=0x400000, writes=(MemLoc(g=0x9008, v=0x4008, space_pid=1,
                                               val=0x90),)))
-        page = observed_page(store, 1, 0x4000)
+        page = store.page(1, 0x4000)
         assert page[8] == 0x90
         assert page[7] == 0xCC
 
     def test_unaligned_page_base_rejected(self):
         with pytest.raises(ValueError, match="aligned"):
-            observed_page(ObservedMemory(), 1, 0x4001)
+            ObservedMemory().page(1, 0x4001)
 
     def test_prefix_determinism(self, micro_trace):
         trace = micro_trace(3, 80)
@@ -181,4 +188,37 @@ class TestObservedMemory:
                 fresh = ObservedMemory()
                 for prior in trace.events[:k + 1]:
                     fresh.record_event(prior)
-                assert fresh._mem == full._mem
+                touched = _touched_pages(trace.events[:k + 1])
+                assert touched
+                for pid, base in touched:
+                    assert fresh.page(pid, base) == full.page(pid, base)
+
+    def test_writes_straddling_pages_and_processes(self):
+        store = ObservedMemory()
+        store.record_event(_image(base=0x4ffc, data=bytes(range(1, 9))))
+        store.record_event(_instr(1, vaddr=0x5ffe, code=b"\xff\x15\x00\x10",
+                                  writes=(MemLoc(g=0x9000, v=0x7fff, space_pid=2,
+                                                 val=0xAB),)))
+        assert store.page(1, 0x4000)[-4:] == bytes([1, 2, 3, 4])
+        assert store.page(1, 0x5000)[:4] == bytes([5, 6, 7, 8])
+        assert store.page(1, 0x5000)[-2:] == b"\xff\x15"
+        assert store.page(1, 0x6000)[:2] == b"\x00\x10"
+        assert store.page(2, 0x7000)[-1] == 0xAB
+        assert store.page(1, 0x7000) == bytes(4096)
+
+    @pytest.mark.parametrize("size", [0, 100, 0x800, 0x1800, 4096.0, True])
+    def test_bad_page_size_rejected(self, size):
+        with pytest.raises(ValueError, match="power of two"):
+            ObservedMemory(size)
+
+
+def _touched_pages(events, page=4096):
+    """(pid, page base) of every byte an event may have stored."""
+    pairs = set()
+    for ev in events:
+        if ev.kind == "image":
+            pairs.update((ev.pid, v) for v in range(ev.base, ev.base + len(ev.bytes)))
+        elif ev.kind == "instr":
+            pairs.update((ev.pid, v) for v in ev.vspan())
+            pairs.update((loc.space_pid, loc.v) for loc in ev.writes)
+    return {(pid, v - v % page) for pid, v in pairs}
