@@ -38,15 +38,6 @@ class ExportMap:
         return self.by_pid.get(pid, {}).get(vaddr)
 
 
-def build_export_map(module_events) -> ExportMap:
-    """Fold module events seen so far into an export map."""
-    exports = ExportMap()
-    for ev in module_events:
-        if ev.kind == "module":
-            exports.add_module(ev)
-    return exports
-
-
 @dataclass
 class ApiCallRecord:
     """One resolved external call made by a malware-trace instruction."""
@@ -146,34 +137,6 @@ class ApiMonitor:
 
     def on_procexit(self, pid: int):
         self._pending = {k: v for k, v in self._pending.items() if k[0] != pid}
-
-
-def capture_return(events, records: list[ApiCallRecord]) -> list[ApiCallRecord]:
-    """Replay return-value capture for already-detected call records.
-
-    Each record waits for the first later instruction of the same thread at
-    its return address; nested calls to one site resolve last-in-first-out.
-    """
-    pending: dict[tuple[int, int, int], list[ApiCallRecord]] = {}
-    for rec in sorted(records, key=lambda r: r.caller_seq):
-        if rec.return_address is not None:
-            pending.setdefault((rec.pid, rec.tid, rec.return_address),
-                               []).append(rec)
-    for ev in events:
-        if ev.kind == "procexit":
-            pending = {k: v for k, v in pending.items() if k[0] != ev.pid}
-            continue
-        if ev.kind != "instr":
-            continue
-        key = (ev.pid, ev.tid, ev.vaddr)
-        stack = pending.get(key)
-        if stack:
-            rec = stack.pop()
-            if not stack:
-                del pending[key]
-            if ev.regvals and "eax" in ev.regvals:
-                rec.return_value = ev.regvals["eax"]
-    return records
 
 
 class AttributionError(RuntimeError):

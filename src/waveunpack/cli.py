@@ -74,7 +74,12 @@ def cmd_unpack(args) -> int:
             print(f"error: --page-size: {exc}", file=sys.stderr)
             return 1
 
-    taint_log = open(args.taint_log, "w", encoding="utf-8") if args.taint_log else None
+    try:
+        taint_log = (open(args.taint_log, "w", encoding="utf-8")
+                     if args.taint_log else None)
+    except OSError as exc:
+        print(f"error: --taint-log: {exc}", file=sys.stderr)
+        return 1
     try:
         result = pipeline.analyze(trace, patch=not args.no_patch,
                                   taint_log=taint_log)
@@ -85,9 +90,13 @@ def cmd_unpack(args) -> int:
         if taint_log:
             taint_log.close()
 
-    report = pipeline.write_outputs(result, args.out,
-                                    no_timing=args.no_timing,
-                                    report_path=args.report)
+    try:
+        report = pipeline.write_outputs(result, args.out,
+                                        no_timing=args.no_timing,
+                                        report_path=args.report)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     summary = report["summary"]
     final = summary["final_wave"]
     print(f"procs={summary['procs']} waves={summary['waves']} "

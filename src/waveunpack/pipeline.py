@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -142,12 +145,50 @@ def wave_dir(out_dir: Path, pid: int, wave_index: int) -> Path:
     return Path(out_dir) / f"pid{pid}" / f"wave{wave_index}"
 
 
+# names an unpack writes at the top of its output directory
+_OWNED_NAME = re.compile(r"api_calls\.jsonl|report\.json|pid\d+")
+
+
 def write_outputs(result: PipelineResult, out_dir, no_timing: bool = False,
                   report_path=None) -> dict:
-    """Materialize wave directories, PE files, sidecars, logs and report."""
+    """Materialize wave directories, PE files, sidecars, logs and report.
+
+    The tree is built in a staging directory inside `out_dir` and then
+    moved into place, replacing whatever an earlier unpack left there, so
+    the directory holds exactly this run's outputs. Entries an unpack never
+    writes (a taint log, say) are left alone.
+    """
+    report = dict(result.report)
+    if no_timing:
+        report.pop("timing", None)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".unpack-", dir=out))
+    try:
+        _write_waves(result, stage)
+        if not report_path:
+            _write_report(report, stage / "report.json")
+        old = stage / ".old"
+        old.mkdir()
+        for entry in out.iterdir():
+            if _OWNED_NAME.fullmatch(entry.name):
+                entry.rename(old / entry.name)
+        for entry in stage.iterdir():
+            if entry != old:
+                entry.rename(out / entry.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    if report_path:
+        _write_report(report, Path(report_path))
+    return report
 
+
+def _write_report(report: dict, path: Path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, sort_keys=True, indent=1)
+
+
+def _write_waves(result: PipelineResult, out: Path):
     with open(out / "api_calls.jsonl", "w", encoding="utf-8") as fh:
         for rec in result.api_records:
             fh.write(json.dumps(rec.log_obj(), sort_keys=True) + "\n")
@@ -157,10 +198,7 @@ def write_outputs(result: PipelineResult, out_dir, no_timing: bool = False,
         wdir = wave_dir(out, rec.pid, rec.wave_index)
         (wdir / "pages").mkdir(parents=True, exist_ok=True)
         with open(wdir / "instrs.jsonl", "w", encoding="utf-8") as fh:
-            for ref in rec.instrs:
-                fh.write(json.dumps({"seq": ref.seq, "vaddr": ref.vaddr,
-                                     "bytes": ref.bytes.hex()},
-                                    sort_keys=True) + "\n")
+            fh.writelines(map(_instr_line, rec.instrs))
         _write_pairs(wdir / "shadow.json", rec.shadow_pairs)
         _write_pairs(wdir / "twrites.json", rec.twrite_pairs)
         for base, data in rec.page_dumps.items():
@@ -185,13 +223,11 @@ def write_outputs(result: PipelineResult, out_dir, no_timing: bool = False,
                       encoding="utf-8") as fh:
                 json.dump(art.sidecar, fh, sort_keys=True, indent=1)
 
-    report = dict(result.report)
-    if no_timing:
-        report.pop("timing", None)
-    rpath = Path(report_path) if report_path else out / "report.json"
-    with open(rpath, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
-    return report
+
+def _instr_line(ref: InstrRef) -> str:
+    """One instrs.jsonl line, the text json.dumps(sort_keys=True) gives."""
+    return '{"bytes": "%s", "seq": %d, "vaddr": %d}\n' % (
+        ref.bytes.hex(), ref.seq, ref.vaddr)
 
 
 _PAIR_BATCH = 1024

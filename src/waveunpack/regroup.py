@@ -46,9 +46,9 @@ class MemoryGroup:
 def executed_pages(wave: WaveRecord, page_size: int) -> set[int]:
     """Page bases covering every byte of every executed instruction."""
     pages = set()
-    for ref in wave.instrs:
-        first = ref.vaddr - ref.vaddr % page_size
-        last = (ref.vaddr + len(ref.bytes) - 1)
+    for vaddr, length in {(ref.vaddr, len(ref.bytes)) for ref in wave.instrs}:
+        first = vaddr - vaddr % page_size
+        last = vaddr + length - 1
         last -= last % page_size
         pages.update(range(first, last + page_size, page_size))
     return pages
@@ -171,8 +171,9 @@ def group_wave(wave: WaveRecord, page_size: int) -> WaveGrouping:
     groups = merge_groups(intervals, refs)
     wave_id = (wave.pid, wave.wave_index)
     kept, dropped = [], []
+    executed_addrs = {ref.vaddr for ref in wave.instrs}
     for grp in groups:
         grp.wave_id = wave_id
-        executed = any(grp.contains(ref.vaddr) for ref in wave.instrs)
+        executed = any(grp.contains(v) for v in executed_addrs)
         (kept if executed else dropped).append(grp)
     return WaveGrouping(kept=kept, dropped=dropped, refs=refs, page_size=page_size)

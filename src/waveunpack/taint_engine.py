@@ -48,8 +48,8 @@ def init_taint(image_event: TraceEvent | None) -> PropagationSet:
 
 def is_tainted_instruction(ev: TraceEvent, pset: PropagationSet) -> bool:
     """True iff any byte of the instruction's global span is tainted."""
-    mem = pset.tainted_mem
-    return any(g in mem for g in ev.gspan())
+    return not pset.tainted_mem.isdisjoint(
+        range(ev.gaddr, ev.gaddr + len(ev.bytes)))
 
 
 def update(ev: TraceEvent, pset: PropagationSet,
@@ -63,26 +63,38 @@ def update(ev: TraceEvent, pset: PropagationSet,
     """
     mem = pset.tainted_mem
     regs = pset.tainted_regs
-    key = (ev.pid, ev.tid)
+    pid, tid = ev.pid, ev.tid
 
-    inputs_tainted = any(m.g in mem for m in ev.reads) or any(
-        (ev.pid, ev.tid, r) in regs for r in ev.rregs)
-    exec_tainted = any(g in mem for g in ev.gspan())
+    hot = False
+    for m in ev.reads:
+        if m.g in mem:
+            hot = True
+            break
+    if not hot and regs:
+        for r in ev.rregs:
+            if (pid, tid, r) in regs:
+                hot = True
+                break
+    if not hot:
+        hot = not mem.isdisjoint(range(ev.gaddr, ev.gaddr + len(ev.bytes)))
 
-    if inputs_tainted or exec_tainted:
-        for m in ev.writes:
-            mem.add(m.g)
+    if hot:
+        own = None
+        for g, v, space_pid, val in ev.writes:
+            mem.add(g)
+            # every output is tainted now, so each own-space write is recorded
+            if space_pid == pid:
+                if own is None:
+                    own = twrites.setdefault(pid, {})
+                own[v] = val
         for r in ev.wregs:
-            regs.add((*key, r))
+            regs.add((pid, tid, r))
     else:
+        # every output is clean now, so no write is recorded
         for m in ev.writes:
             mem.discard(m.g)
         for r in ev.wregs:
-            regs.discard((*key, r))
-
-    for w in ev.writes:
-        if w.g in mem and w.space_pid == ev.pid:
-            twrites.setdefault(ev.pid, {})[w.v] = w.val
+            regs.discard((pid, tid, r))
     return pset, twrites
 
 

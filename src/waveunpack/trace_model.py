@@ -16,8 +16,10 @@ shared mappings stay observable across processes.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 FORMAT_VERSION = 1
 DEFAULT_PAGE_SIZE = 4096
@@ -45,8 +47,7 @@ def check_page_size(size) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class MemLoc:
+class MemLoc(NamedTuple):
     """One byte of memory with its global id and per-process view."""
 
     g: int
@@ -67,7 +68,7 @@ class Export:
     rva: int
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One trace line; unused fields stay at their defaults per kind."""
 
@@ -92,21 +93,9 @@ class TraceEvent:
     name: str | None = None
     exports: tuple[Export, ...] = ()
 
-    @property
-    def length(self) -> int:
-        return len(self.bytes)
-
     def vspan(self):
         """Virtual addresses occupied by the instruction encoding."""
         return range(self.vaddr, self.vaddr + len(self.bytes))
-
-    def gspan(self):
-        """Global ids occupied by the instruction encoding."""
-        return range(self.gaddr, self.gaddr + len(self.bytes))
-
-    def code_pairs(self):
-        """(vaddr, byte) pairs of the encoding."""
-        return [(self.vaddr + i, b) for i, b in enumerate(self.bytes)]
 
 
 @dataclass
@@ -127,20 +116,24 @@ class SystemTrace:
 
 _VALID_KINDS = ("image", "module", "instr", "procexit")
 _REQUIRED_KEYS = {
-    "image": {"kind", "pid", "base", "gbase", "name", "bytes"},
-    "module": {"kind", "pid", "base", "name", "exports"},
-    "instr": {
+    "image": frozenset({"kind", "pid", "base", "gbase", "name", "bytes"}),
+    "module": frozenset({"kind", "pid", "base", "name", "exports"}),
+    "instr": frozenset({
         "kind", "seq", "pid", "tid", "vaddr", "gaddr", "bytes",
         "reads", "writes", "rregs", "wregs",
-    },
-    "procexit": {"kind", "pid"},
+    }),
+    "procexit": frozenset({"kind", "pid"}),
 }
-_OPTIONAL_KEYS = {
-    "image": set(),
-    "module": set(),
-    "instr": {"branch", "stack_top", "regvals"},
-    "procexit": set(),
-}
+_ALLOWED_KEYS = {kind: keys | ({"branch", "stack_top", "regvals"}
+                               if kind == "instr" else set())
+                 for kind, keys in _REQUIRED_KEYS.items()}
+_MEMLOC_KEYS = ("g", "v", "space_pid", "val")
+_INSTR_INT_KEYS = ("seq", "pid", "tid", "vaddr", "gaddr")
+_INSTR_LIST_KEYS = ("reads", "writes", "rregs", "wregs")
+_INSTR_KEY_COUNT = len(_REQUIRED_KEYS["instr"])
+
+# the C scanner behind json.loads, for lines without surrounding whitespace
+_scan_json = json.JSONDecoder().scan_once
 
 
 def _need(obj, key, line):
@@ -149,68 +142,137 @@ def _need(obj, key, line):
     return obj[key]
 
 
+_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list",
+               dict: "an object"}
+_JSON_TYPE_NAMES = {type(None): "null", bool: "a boolean", float: "a number",
+                    **_TYPE_NAMES}
+
+
+def _need_type(value, kind, what, line):
+    """Return `value` if its type is exactly `kind` (so bools are not ints)."""
+    if type(value) is not kind:
+        found = _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
+        raise TraceFormatError(f"{what} must be {_TYPE_NAMES[kind]}, not {found}",
+                               line)
+    return value
+
+
+def _typed_fields(obj, keys, kind, line):
+    """Raise for the first of `keys` whose value is not of type `kind`."""
+    for key in keys:
+        _need_type(obj[key], kind, f"'{key}'", line)
+
+
+def _key_error(obj, kind, line) -> TraceFormatError:
+    missing = _REQUIRED_KEYS[kind] - obj.keys()
+    if missing:
+        return TraceFormatError(f"missing key '{sorted(missing)[0]}'", line)
+    unknown = obj.keys() - _ALLOWED_KEYS[kind]
+    return TraceFormatError(f"unknown key '{sorted(unknown)[0]}' for kind {kind}",
+                            line)
+
+
 def _hex_bytes(text, line):
+    _need_type(text, str, "'bytes'", line)
     try:
         return bytes.fromhex(text)
-    except (ValueError, TypeError):
+    except ValueError:
         raise TraceFormatError(f"invalid hex string {text!r}", line) from None
 
 
 def _memloc(obj, line):
-    for key in ("g", "v", "space_pid", "val"):
-        _need(obj, key, line)
-    loc = MemLoc(g=obj["g"], v=obj["v"], space_pid=obj["space_pid"], val=obj["val"])
-    if not 0 <= loc.val <= 0xFF:
-        raise TraceFormatError(f"memory value {loc.val} is not a byte", line)
-    if not 0 <= loc.v < _U32:
-        raise TraceFormatError(f"virtual address {loc.v:#x} does not fit in 32 bits", line)
-    return loc
+    _need_type(obj, dict, "memory location", line)
+    try:
+        g, v, pid, val = obj["g"], obj["v"], obj["space_pid"], obj["val"]
+    except KeyError as exc:
+        raise TraceFormatError(f"missing key '{exc.args[0]}'", line) from None
+    if not (type(g) is int and type(v) is int and type(pid) is int
+            and type(val) is int):
+        _typed_fields(obj, _MEMLOC_KEYS, int, line)
+    if not 0 <= val <= 0xFF:
+        raise TraceFormatError(f"memory value {val} is not a byte", line)
+    if not 0 <= v < _U32:
+        raise TraceFormatError(f"virtual address {v:#x} does not fit in 32 bits", line)
+    return MemLoc(g, v, pid, val)
+
+
+def _registers(names, key, line) -> tuple[str, ...]:
+    for name in names:
+        if type(name) is not str:
+            _need_type(name, str, f"'{key}' entry", line)
+    return tuple(names)
 
 
 def _event_from_obj(obj, line) -> TraceEvent:
+    _need_type(obj, dict, "event", line)
     kind = _need(obj, "kind", line)
     if kind not in _VALID_KINDS:
         raise TraceFormatError(f"unknown event kind {kind!r}", line)
-    missing = _REQUIRED_KEYS[kind] - set(obj)
-    if missing:
-        raise TraceFormatError(f"missing key '{sorted(missing)[0]}'", line)
-    unknown = set(obj) - _REQUIRED_KEYS[kind] - _OPTIONAL_KEYS[kind]
-    if unknown:
-        raise TraceFormatError(f"unknown key '{sorted(unknown)[0]}' for kind {kind}", line)
+    if not _REQUIRED_KEYS[kind] <= obj.keys() <= _ALLOWED_KEYS[kind]:
+        raise _key_error(obj, kind, line)
 
+    if kind == "instr":
+        seq, pid, tid = obj["seq"], obj["pid"], obj["tid"]
+        vaddr, gaddr = obj["vaddr"], obj["gaddr"]
+        if not (type(seq) is int and type(pid) is int and type(tid) is int
+                and type(vaddr) is int and type(gaddr) is int):
+            _typed_fields(obj, _INSTR_INT_KEYS, int, line)
+        reads, writes = obj["reads"], obj["writes"]
+        rregs, wregs = obj["rregs"], obj["wregs"]
+        if not (type(reads) is list and type(writes) is list
+                and type(rregs) is list and type(wregs) is list):
+            _typed_fields(obj, _INSTR_LIST_KEYS, list, line)
+        branch = stack_top = regvals = None
+        if len(obj) > _INSTR_KEY_COUNT:  # some optional key is present
+            if "branch" in obj:
+                branch = _branch(obj["branch"], line)
+            if "stack_top" in obj:
+                stack_top = _need_type(obj["stack_top"], int, "'stack_top'", line)
+            if "regvals" in obj:
+                regvals = _regvals(obj["regvals"], line)
+        return TraceEvent(
+            kind, pid, seq, tid, vaddr, gaddr, _hex_bytes(obj["bytes"], line),
+            tuple([_memloc(m, line) for m in reads]) if reads else (),
+            tuple([_memloc(m, line) for m in writes]) if writes else (),
+            _registers(rregs, "rregs", line), _registers(wregs, "wregs", line),
+            branch, stack_top, regvals,
+        )
     if kind == "image":
+        _typed_fields(obj, ("pid", "base", "gbase"), int, line)
         return TraceEvent(
             kind=kind, pid=obj["pid"], base=obj["base"], gbase=obj["gbase"],
-            name=obj["name"], bytes=_hex_bytes(obj["bytes"], line),
+            name=_need_type(obj["name"], str, "'name'", line),
+            bytes=_hex_bytes(obj["bytes"], line),
         )
     if kind == "module":
-        exports = tuple(
-            Export(name=_need(e, "name", line), rva=_need(e, "rva", line))
-            for e in obj["exports"]
-        )
+        _typed_fields(obj, ("pid", "base"), int, line)
+        exports = []
+        for e in _need_type(obj["exports"], list, "'exports'", line):
+            _need_type(e, dict, "export", line)
+            exports.append(Export(
+                name=_need_type(_need(e, "name", line), str, "export 'name'", line),
+                rva=_need_type(_need(e, "rva", line), int, "export 'rva'", line)))
         return TraceEvent(kind=kind, pid=obj["pid"], base=obj["base"],
-                          name=obj["name"], exports=exports)
-    if kind == "procexit":
-        return TraceEvent(kind=kind, pid=obj["pid"])
+                          name=_need_type(obj["name"], str, "'name'", line),
+                          exports=tuple(exports))
+    _typed_fields(obj, ("pid",), int, line)
+    return TraceEvent(kind=kind, pid=obj["pid"])
 
-    branch = None
-    if "branch" in obj:
-        b = obj["branch"]
-        target = _need(b, "target_vaddr", line)
-        btype = _need(b, "btype", line)
-        if btype not in ("call", "jmp", "ret"):
-            raise TraceFormatError(f"unknown branch type {btype!r}", line)
-        branch = Branch(target_vaddr=target, btype=btype)
-    return TraceEvent(
-        kind=kind, pid=obj["pid"], seq=obj["seq"], tid=obj["tid"],
-        vaddr=obj["vaddr"], gaddr=obj["gaddr"],
-        bytes=_hex_bytes(obj["bytes"], line),
-        reads=tuple(_memloc(m, line) for m in obj["reads"]),
-        writes=tuple(_memloc(m, line) for m in obj["writes"]),
-        rregs=tuple(obj["rregs"]), wregs=tuple(obj["wregs"]),
-        branch=branch, stack_top=obj.get("stack_top"),
-        regvals=dict(obj["regvals"]) if "regvals" in obj else None,
-    )
+
+def _branch(b, line) -> Branch:
+    _need_type(b, dict, "'branch'", line)
+    target = _need_type(_need(b, "target_vaddr", line), int,
+                        "branch 'target_vaddr'", line)
+    btype = _need(b, "btype", line)
+    if btype not in ("call", "jmp", "ret"):
+        raise TraceFormatError(f"unknown branch type {btype!r}", line)
+    return Branch(target_vaddr=target, btype=btype)
+
+
+def _regvals(obj, line) -> dict[str, int]:
+    for name, value in _need_type(obj, dict, "'regvals'", line).items():
+        _need_type(value, int, f"regvals '{name}'", line)
+    return dict(obj)
 
 
 def _check_instr_invariants(ev: TraceEvent, line):
@@ -221,13 +283,17 @@ def _check_instr_invariants(ev: TraceEvent, line):
         raise TraceFormatError(f"instruction too long ({n} bytes)", line)
     if not 0 <= ev.vaddr < _U32:
         raise TraceFormatError(f"vaddr {ev.vaddr:#x} does not fit in 32 bits", line)
-    # one event may not map the same global id to two different views
+    if not ev.reads and not ev.writes:
+        return  # the encoding's own span cannot conflict with itself
+    # one event may not map the same global id to two different views: the
+    # encoding maps gaddr + i to (pid, vaddr + i), memory effects add the rest
+    gaddr = ev.gaddr
     mapping = {}
-    for i in range(n):
-        mapping[ev.gaddr + i] = (ev.pid, ev.vaddr + i)
     for loc in ev.reads + ev.writes:
         key = (loc.space_pid, loc.v)
-        if mapping.get(loc.g, key) != key:
+        off = loc.g - gaddr
+        known = (ev.pid, ev.vaddr + off) if 0 <= off < n else mapping.get(loc.g, key)
+        if known != key:
             raise TraceFormatError(
                 f"g-span/byte-span mismatch: g={loc.g:#x} maps to two locations", line)
         mapping[loc.g] = key
@@ -240,35 +306,64 @@ def _header_page_size(size) -> int:
         raise TraceFormatError(str(exc), 1) from None
 
 
+def _loads(raw: bytes, line):
+    """json.loads(raw), with a fast path for a line that is one bare value."""
+    try:
+        text = raw.decode()
+        obj, end = _scan_json(text, 0)
+        if end == len(text):
+            return obj
+    except (ValueError, RecursionError, StopIteration):
+        pass
+    # json.loads itself: surrounding whitespace, a BOM, or a real error
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        raise TraceFormatError(f"invalid JSON: {exc}", line) from None
+
+
 def parse_trace(data) -> SystemTrace:
-    """Parse a JSON-Lines byte stream into a validated SystemTrace."""
+    """Parse a JSON-Lines byte stream into a validated SystemTrace.
+
+    Parsing builds no reference cycles, so the cycle collector is paused
+    meanwhile: with it running, its repeated passes over the growing event
+    list cost about as much as decoding the JSON. The first collection
+    after the pause still examines the new objects once.
+    """
     if isinstance(data, str):
         data = data.encode("utf-8")
     lines = data.splitlines()
     if not lines or not lines[0].strip():
         raise TraceFormatError("empty stream: missing header line")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"invalid JSON: {exc}", 1) from None
+    header = _loads(lines[0], 1)
     if not isinstance(header, dict) or "format" not in header:
         raise TraceFormatError("first line is not a trace header", 1)
+    if type(header["format"]) is not int or header["format"] != FORMAT_VERSION:
+        raise TraceFormatError(
+            f"unsupported trace format {header['format']!r} "
+            f"(this reader handles {FORMAT_VERSION})", 1)
     trace = SystemTrace(
         page_size=_header_page_size(header.get("page_size", DEFAULT_PAGE_SIZE)),
         version=header["format"],
     )
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        _parse_events(lines, trace.events)
+    finally:
+        if collecting:
+            gc.enable()
+    return trace
 
+
+def _parse_events(lines: list[bytes], events: list[TraceEvent]):
     last_seq = None
     image = None
     instr_pids_before_image = set()
     for line_no, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
+        if not raw or raw.isspace():
             continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"invalid JSON: {exc}", line_no) from None
-        ev = _event_from_obj(obj, line_no)
+        ev = _event_from_obj(_loads(raw, line_no), line_no)
         if ev.kind == "image":
             if image is not None:
                 raise TraceFormatError("multiple image events", line_no)
@@ -285,8 +380,7 @@ def parse_trace(data) -> SystemTrace:
             last_seq = ev.seq
             if image is None:
                 instr_pids_before_image.add(ev.pid)
-        trace.events.append(ev)
-    return trace
+        events.append(ev)
 
 
 def _event_to_obj(ev: TraceEvent) -> dict:
@@ -390,13 +484,12 @@ class ObservedMemory:
                 pg[off:end] = code  # fast path: one already-touched page
             else:
                 self._store(ev.pid, ev.vaddr, code)
-            for loc in ev.writes:
-                v = loc.v
+            for _, v, space_pid, val in ev.writes:
                 off = v & mask
-                pg = pages.get((loc.space_pid, v - off))
+                pg = pages.get((space_pid, v - off))
                 if pg is None:
-                    pg = self._page_for(loc.space_pid, v - off)
-                pg[off] = loc.val
+                    pg = self._page_for(space_pid, v - off)
+                pg[off] = val
         elif ev.kind == "image":
             self._store(ev.pid, ev.base, ev.bytes)
 

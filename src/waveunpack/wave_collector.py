@@ -10,6 +10,7 @@ logged together with page dumps of their shadow memory and tainted writes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .taint_engine import (
     PropagationSet,
@@ -21,8 +22,7 @@ from .taint_engine import (
 from .trace_model import ObservedMemory, SystemTrace, TraceEvent
 
 
-@dataclass(frozen=True)
-class InstrRef:
+class InstrRef(NamedTuple):
     """Reference to one executed instruction of the malware trace."""
 
     seq: int
@@ -68,11 +68,10 @@ class WaveRecord:
 
 @dataclass
 class WaveSet:
-    """All waves of a run, ordered per process, plus the initial wave id."""
+    """All waves of a run, ordered per process."""
 
     by_pid: dict[int, list[WaveRecord]]
     records: list[WaveRecord]
-    initial: tuple[int, int] | None  # (pid, wave_index) where execution began
 
 
 @dataclass
@@ -105,7 +104,9 @@ def classify_case(ev: TraceEvent, state: ProcessState) -> int:
     """
     shadow = state.shadow
     tw = state.twrites
-    span = list(ev.vspan())
+    span = ev.vspan()
+    if tw.keys().isdisjoint(span):  # nothing freshly written: case 1 or 4
+        return 1 if shadow.keys().isdisjoint(span) else 4
     in_shadow = [v in shadow for v in span]
     in_tw = [v in tw for v in span]
     if not any(in_shadow) and not any(in_tw):
@@ -168,7 +169,6 @@ def collect_waves(trace: SystemTrace, monitor=None,
     tmap: dict[int, dict[int, int]] = {}
     records: list[WaveRecord] = []
     mtrace: list[InstrRef] = []
-    initial: tuple[int, int] | None = None
     image_seen = False
 
     def state_for(pid: int) -> ProcessState:
@@ -179,18 +179,20 @@ def collect_waves(trace: SystemTrace, monitor=None,
         return st
 
     for ev in trace.events:
-        if ev.kind == "image":
+        kind = ev.kind
+        if kind == "image":
             observed.record_event(ev)
             pset = init_taint(ev)
             st = state_for(ev.pid)
-            st.shadow = {ev.base + i: b for i, b in enumerate(ev.bytes)}
+            st.shadow = dict(zip(range(ev.base, ev.base + len(ev.bytes)),
+                                 ev.bytes))
             image_seen = True
             continue
-        if ev.kind == "module":
+        if kind == "module":
             if monitor is not None:
                 monitor.on_module(ev)
             continue
-        if ev.kind == "procexit":
+        if kind == "procexit":
             st = states.get(ev.pid)
             if st is not None:
                 rec = dump_wave(st, None, observed, page_size)
@@ -206,14 +208,11 @@ def collect_waves(trace: SystemTrace, monitor=None,
         tainted = is_tainted_instruction(ev, pset)
         if tainted:
             st = state_for(ev.pid)
-            ref = InstrRef(seq=ev.seq, pid=ev.pid, vaddr=ev.vaddr, bytes=ev.bytes)
+            ref = InstrRef(ev.seq, ev.pid, ev.vaddr, ev.bytes)
             mtrace.append(ref)
-            if initial is None:
-                initial = (ev.pid, st.wave_index)
             case = classify_case(ev, st)
             if case == 1:
-                for v, b in ref.code_pairs():
-                    st.shadow[v] = b
+                st.shadow.update(zip(ev.vspan(), ev.bytes))
                 st.cur_instrs.append(ref)
             elif case in (2, 3):
                 rec = dump_wave(st, ref, observed, page_size)
@@ -242,7 +241,7 @@ def collect_waves(trace: SystemTrace, monitor=None,
         recs.sort(key=lambda r: r.wave_index)
     return CollectResult(
         mtrace=mtrace,
-        wave_set=WaveSet(by_pid=by_pid, records=records, initial=initial),
+        wave_set=WaveSet(by_pid=by_pid, records=records),
         records=records,
     )
 
@@ -284,31 +283,37 @@ def verify_wave_semantics(records: list[WaveRecord], mtrace: list[InstrRef],
                                      f"wave overlaps predecessor: seq {prev.last_seq} "
                                      f">= {cur.first_seq}"))
 
-    image_pairs = set()
-    if image_event is not None:
-        image_pairs = {(image_event.base + i, b)
-                       for i, b in enumerate(image_event.bytes)}
+    image = image_event.bytes if image_event is not None else b""
+    image_base = image_event.base if image_event is not None else 0
     for rec in records:
         earlier_tw = set()
         for other in records:
             if other is not rec and other.first_seq < rec.first_seq:
                 earlier_tw.update(other.twrite_pairs.items())
         own_pairs = set()
-        for ref in rec.instrs:
-            own_pairs.update(ref.code_pairs())
+        for vaddr, code in {(ref.vaddr, ref.bytes) for ref in rec.instrs}:
+            own_pairs.update(zip(range(vaddr, vaddr + len(code)), code))
         for pair in rec.shadow_pairs.items():
-            if pair in image_pairs or pair in earlier_tw or pair in own_pairs:
+            off = pair[0] - image_base
+            if (0 <= off < len(image) and image[off] == pair[1]
+                    or pair in earlier_tw or pair in own_pairs):
                 continue
             out.append(Violation(3, rec.pid, rec.wave_index,
                                  f"shadow pair ({pair[0]:#x}, {pair[1]:#04x}) has no "
                                  f"legitimate provenance"))
 
     for rec in records:
+        shadow = rec.shadow_pairs
+        # first byte of each distinct encoding missing from the shadow, or None
+        missing: dict[tuple[int, bytes], int | None] = {}
         for ref in rec.instrs:
-            for v, b in ref.code_pairs():
-                if rec.shadow_pairs.get(v) != b:
-                    out.append(Violation(4, rec.pid, rec.wave_index,
-                                         f"instruction seq {ref.seq} byte at {v:#x} "
-                                         f"missing from shadow"))
-                    break
+            key = (ref.vaddr, ref.bytes)
+            if key not in missing:
+                missing[key] = next((v for v, b in ref.code_pairs()
+                                     if shadow.get(v) != b), None)
+            v = missing[key]
+            if v is not None:
+                out.append(Violation(4, rec.pid, rec.wave_index,
+                                     f"instruction seq {ref.seq} byte at {v:#x} "
+                                     f"missing from shadow"))
     return out

@@ -2,8 +2,9 @@
 
 Nothing here may import from the production code it checks: the taint
 reference is a label-set rewrite of the dataflow rules, the PE reader is a
-from-scratch struct parser, and the reference scanner decodes at every byte
-offset with the single-instruction decoder, which has its own table tests.
+from-scratch struct parser, the reference scanner decodes at every byte
+offset with the single-instruction decoder, which has its own table tests,
+and the wave references test every byte of every instruction one by one.
 """
 
 from __future__ import annotations
@@ -196,3 +197,89 @@ def reference_scan_refs(data: bytes, base: int,
             if _in_ranges(word, ranges):
                 refs.add((site, word))
     return refs
+
+
+# --- per-byte wave classification and semantics references -----------------
+
+def reference_classify_case(ev, state) -> int:
+    """Test every byte of the encoding against the shadow and tainted writes:
+    the specification of wave_collector.classify_case."""
+    shadow = state.shadow
+    tw = state.twrites
+    span = list(range(ev.vaddr, ev.vaddr + len(ev.bytes)))
+    in_shadow = [v in shadow for v in span]
+    in_tw = [v in tw for v in span]
+    if not any(in_shadow) and not any(in_tw):
+        return 1
+    if any(t and not s for s, t in zip(in_shadow, in_tw)):
+        return 2
+    if all(in_shadow) and any(
+            v in tw and tw[v] != shadow[v] for v in span):
+        return 3
+    return 4
+
+
+def _code_pairs(ref):
+    return [(ref.vaddr + i, b) for i, b in enumerate(ref.bytes)]
+
+
+def reference_verify_wave_semantics(records, mtrace, image_event) -> list[str]:
+    """Check the four wave-set requirements pair by pair, per instruction:
+    the specification of wave_collector.verify_wave_semantics, whose
+    violations print as the strings returned here, in the same order."""
+    out: list[str] = []
+
+    def violation(bullet, pid, wave_index, detail):
+        out.append(f"bullet {bullet} (pid {pid} wave {wave_index}): {detail}")
+
+    seen: dict[int, tuple[int, int]] = {}
+    for rec in records:
+        for ref in rec.instrs:
+            if ref.seq in seen:
+                violation(1, rec.pid, rec.wave_index,
+                          f"instruction seq {ref.seq} appears in wave "
+                          f"{seen[ref.seq]} and again here")
+            seen[ref.seq] = (rec.pid, rec.wave_index)
+    for ref in mtrace:
+        if ref.seq not in seen:
+            violation(1, ref.pid, -1, f"instruction seq {ref.seq} is in no wave")
+
+    by_pid: dict[int, list] = {}
+    for rec in records:
+        by_pid.setdefault(rec.pid, []).append(rec)
+    for pid, recs in by_pid.items():
+        recs = sorted(recs, key=lambda r: r.wave_index)
+        for prev, cur in zip(recs, recs[1:]):
+            if prev.instrs[-1].seq >= cur.instrs[0].seq:
+                violation(2, pid, cur.wave_index,
+                          f"wave overlaps predecessor: seq {prev.instrs[-1].seq} "
+                          f">= {cur.instrs[0].seq}")
+
+    image_pairs = set()
+    if image_event is not None:
+        image_pairs = {(image_event.base + i, b)
+                       for i, b in enumerate(image_event.bytes)}
+    for rec in records:
+        earlier_tw = set()
+        for other in records:
+            if other is not rec and other.instrs[0].seq < rec.instrs[0].seq:
+                earlier_tw.update(other.twrite_pairs.items())
+        own_pairs = set()
+        for ref in rec.instrs:
+            own_pairs.update(_code_pairs(ref))
+        for pair in rec.shadow_pairs.items():
+            if pair in image_pairs or pair in earlier_tw or pair in own_pairs:
+                continue
+            violation(3, rec.pid, rec.wave_index,
+                      f"shadow pair ({pair[0]:#x}, {pair[1]:#04x}) has no "
+                      f"legitimate provenance")
+
+    for rec in records:
+        for ref in rec.instrs:
+            for v, b in _code_pairs(ref):
+                if rec.shadow_pairs.get(v) != b:
+                    violation(4, rec.pid, rec.wave_index,
+                              f"instruction seq {ref.seq} byte at {v:#x} "
+                              f"missing from shadow")
+                    break
+    return out

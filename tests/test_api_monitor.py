@@ -6,8 +6,6 @@ from waveunpack.api_monitor import (
     ApiMonitor,
     AttributionError,
     attribute_calls,
-    build_export_map,
-    capture_return,
     detect_api_call,
 )
 from waveunpack.scenario_gen import TARGET_PID, generate_scenario
@@ -28,37 +26,56 @@ def _branch_instr(seq, target, btype="call", pid=1, code=b"\xff\xd0",
                       branch=Branch(target, btype), stack_top=stack_top)
 
 
+def _monitor(*modules) -> ApiMonitor:
+    monitor = ApiMonitor()
+    for ev in modules:
+        monitor.on_module(ev)
+    return monitor
+
+
+def _replay(monitor: ApiMonitor, events):
+    """Feed events as collect_waves does, every instruction being tainted."""
+    for ev in events:
+        if ev.kind == "module":
+            monitor.on_module(ev)
+        elif ev.kind == "procexit":
+            monitor.on_procexit(ev.pid)
+        else:
+            monitor.on_return_site(ev)
+            monitor.on_malware_instr(ev)
+
+
 class TestExportMap:
     def test_base_plus_rva(self):
-        exports = build_export_map([_module()])
+        exports = _monitor(_module()).exports
         assert exports.lookup(1, 0x77001234) == ("kernel32", "ExitProcess")
 
     def test_no_modules_no_hits(self):
-        exports = build_export_map([])
+        exports = _monitor().exports
         assert exports.lookup(1, 0x77001234) is None
 
     def test_per_process_isolation(self):
-        exports = build_export_map([_module(pid=1)])
+        exports = _monitor(_module(pid=1)).exports
         assert exports.lookup(2, 0x77001234) is None
 
     def test_duplicate_address_keeps_first(self, caplog):
         dup = _module(exports=(("ExitProcess", 0x1234), ("AliasExit", 0x1234)))
         with caplog.at_level("WARNING"):
-            exports = build_export_map([dup])
+            exports = _monitor(dup).exports
         assert exports.lookup(1, 0x77001234) == ("kernel32", "ExitProcess")
         assert "duplicate export address" in caplog.text
 
 
 class TestDetect:
     def test_register_indirect_call(self):
-        exports = build_export_map([_module()])
+        exports = _monitor(_module()).exports
         rec = detect_api_call(_branch_instr(1, 0x77001234), exports)
         assert rec is not None
         assert rec.function_name == "ExitProcess"
         assert rec.caller_len == 2
 
     def test_ret_based_call_detected_at_ret(self):
-        exports = build_export_map([_module(exports=(("MessageBoxA", 0x10),))])
+        exports = _monitor(_module(exports=(("MessageBoxA", 0x10),))).exports
         rec = detect_api_call(
             _branch_instr(3, 0x77000010, btype="ret", code=b"\xc3",
                           stack_top=0x600100), exports)
@@ -66,11 +83,11 @@ class TestDetect:
         assert rec.return_address == 0x600100
 
     def test_branch_into_function_body_misses(self):
-        exports = build_export_map([_module()])
+        exports = _monitor(_module()).exports
         assert detect_api_call(_branch_instr(1, 0x77001234 + 5), exports) is None
 
     def test_non_branch_never_detects(self):
-        exports = build_export_map([_module()])
+        exports = _monitor(_module()).exports
         ev = TraceEvent(kind="instr", pid=1, seq=1, tid=1, vaddr=0x600000,
                         gaddr=0x5000, bytes=b"\x90")
         assert detect_api_call(ev, exports) is None
@@ -83,38 +100,35 @@ class TestCaptureReturn:
                           regvals={"eax": eax} if eax is not None else None)
 
     def test_return_value_captured(self):
-        exports = build_export_map([_module(exports=(("GetProcAddress", 0x20),))])
-        call = detect_api_call(
-            _branch_instr(1, 0x77000020, stack_top=0x600100), exports)
-        capture_return([self._site(2, 0x600100, eax=0x77001234)], [call])
+        monitor = _monitor(_module(exports=(("GetProcAddress", 0x20),)))
+        _replay(monitor, [_branch_instr(1, 0x77000020, stack_top=0x600100),
+                          self._site(2, 0x600100, eax=0x77001234)])
+        [call] = monitor.records
         assert call.return_value == 0x77001234
 
     def test_unexecuted_return_site_leaves_none(self):
-        exports = build_export_map([_module()])
-        call = detect_api_call(
-            _branch_instr(1, 0x77001234, stack_top=0x600100), exports)
-        capture_return([self._site(2, 0x699999)], [call])
+        monitor = _monitor(_module())
+        _replay(monitor, [_branch_instr(1, 0x77001234, stack_top=0x600100),
+                          self._site(2, 0x699999)])
+        [call] = monitor.records
         assert call.return_value is None
 
     def test_nested_same_site_matches_lifo(self):
-        exports = build_export_map([_module(exports=(("Recurse", 0x30),))])
-        outer = detect_api_call(
-            _branch_instr(1, 0x77000030, stack_top=0x600100), exports)
-        inner = detect_api_call(
-            _branch_instr(2, 0x77000030, stack_top=0x600100), exports)
-        events = [self._site(3, 0x600100, eax=222),
-                  self._site(4, 0x600100, eax=111)]
-        capture_return(events, [outer, inner])
+        monitor = _monitor(_module(exports=(("Recurse", 0x30),)))
+        _replay(monitor, [_branch_instr(1, 0x77000030, stack_top=0x600100),
+                          _branch_instr(2, 0x77000030, stack_top=0x600100),
+                          self._site(3, 0x600100, eax=222),
+                          self._site(4, 0x600100, eax=111)])
+        outer, inner = monitor.records
         assert inner.return_value == 222
         assert outer.return_value == 111
 
     def test_pending_expires_at_procexit(self):
-        exports = build_export_map([_module()])
-        call = detect_api_call(
-            _branch_instr(1, 0x77001234, stack_top=0x600100), exports)
-        events = [TraceEvent(kind="procexit", pid=1),
-                  self._site(2, 0x600100, eax=7)]
-        capture_return(events, [call])
+        monitor = _monitor(_module())
+        _replay(monitor, [_branch_instr(1, 0x77001234, stack_top=0x600100),
+                          TraceEvent(kind="procexit", pid=1),
+                          self._site(2, 0x600100, eax=7)])
+        [call] = monitor.records
         assert call.return_value is None
 
     def test_monitor_matches_same_results(self):
@@ -180,9 +194,9 @@ def test_mid_trace_module_load_two_phase():
     exports_before = (("LoadLibraryA", 0x40),)
     module_late = _module(base=0x10000000, name="late",
                           exports=(("Boom", 0x10),))
-    exports = build_export_map([_module(exports=exports_before)])
-    # call to the not-yet-loaded module goes undetected
-    assert detect_api_call(_branch_instr(1, 0x10000010), exports) is None
-    exports.add_module(module_late)
-    rec = detect_api_call(_branch_instr(2, 0x10000010), exports)
-    assert rec is not None and rec.module_name == "late"
+    monitor = _monitor(_module(exports=exports_before))
+    # the call to the not-yet-loaded module goes undetected
+    _replay(monitor, [_branch_instr(1, 0x10000010), module_late,
+                      _branch_instr(2, 0x10000010)])
+    [rec] = monitor.records
+    assert rec.caller_seq == 2 and rec.module_name == "late"

@@ -139,6 +139,137 @@ class TestUnpack:
         first = log.read_text().splitlines()[0]
         assert "tainted_instr:" in first
 
+    def test_output_path_is_a_file_exits_1(self, d1_files, tmp_path, capsys):
+        trace, _ = d1_files
+        (tmp_path / "o").write_text("not a directory")
+        assert main(["unpack", str(trace), "-o", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+
+    def test_unwritable_taint_log_exits_1(self, d1_files, tmp_path, capsys):
+        trace, _ = d1_files
+        log = tmp_path / "missing" / "taint.log"
+        assert main(["unpack", str(trace), "-o", str(tmp_path / "o"),
+                     "--taint-log", str(log)]) == 1
+        err = capsys.readouterr().err
+        assert "--taint-log" in err and "Traceback" not in err
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+class TestOutputDirectory:
+    def test_rerun_leaves_only_this_runs_tree(self, tmp_path, capsys):
+        traces = {}
+        for sid in ("d3", "d1"):
+            traces[sid] = tmp_path / f"{sid}.jsonl"
+            assert main(["gen", sid, "--seed", "4", "-o", str(traces[sid]),
+                         "--truth", str(tmp_path / f"{sid}.json")]) == 0
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        for trace, out in ((traces["d3"], shared), (traces["d1"], shared),
+                           (traces["d1"], fresh)):
+            assert main(["unpack", str(trace), "-o", str(out),
+                         "--no-timing"]) == 0
+        assert main(["check", str(traces["d1"]), str(shared)]) == 0
+        assert _tree(shared) == _tree(fresh)
+
+    def test_rerun_keeps_foreign_files(self, d1_files, tmp_path):
+        trace, _ = d1_files
+        out = tmp_path / "out"
+        out.mkdir()
+        for _ in range(2):
+            assert main(["unpack", str(trace), "-o", str(out),
+                         "--taint-log", str(out / "taint.log")]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["api_calls.jsonl", "pid100", "report.json",
+                         "taint.log"]
+
+    def test_report_path_inside_output_directory(self, d1_files, tmp_path):
+        trace, _ = d1_files
+        out = tmp_path / "out"
+        assert main(["unpack", str(trace), "-o", str(out),
+                     "--report", str(out / "report.json")]) == 0
+        assert json.loads((out / "report.json").read_text())["summary"]
+
+
+def _typed_trace() -> list[dict]:
+    """Header, image, module, one instruction with every optional key, exit."""
+    return [
+        {"format": 1, "page_size": 4096},
+        {"kind": "image", "pid": 1, "base": 0x400000, "gbase": 0x1000,
+         "name": "t.exe", "bytes": "90c3"},
+        {"kind": "module", "pid": 1, "base": 0x77000000, "name": "kernel32",
+         "exports": [{"name": "Sleep", "rva": 0x10}]},
+        {"kind": "instr", "seq": 1, "pid": 1, "tid": 1, "vaddr": 0x400000,
+         "gaddr": 0x1000, "bytes": "90",
+         "reads": [{"g": 0x1001, "v": 0x400001, "space_pid": 1, "val": 0xC3}],
+         "writes": [], "rregs": ["eax"], "wregs": ["ebx"],
+         "branch": {"target_vaddr": 0x77000010, "btype": "call"},
+         "stack_top": 0x400001, "regvals": {"eax": 0}},
+        {"kind": "procexit", "pid": 1},
+    ]
+
+
+def _set(line, path, value):
+    def apply(objs):
+        obj = objs[line - 1]
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return apply
+
+
+# (line the error is reported on, mutation of the trace objects)
+_MISTYPED = {
+    "seq-string": (4, _set(4, ["seq"], "a")),
+    "vaddr-null": (4, _set(4, ["vaddr"], None)),
+    "pid-string": (4, _set(4, ["pid"], "x")),
+    "reads-int": (4, _set(4, ["reads"], 5)),
+    "format-99": (1, _set(1, ["format"], 99)),
+    "tid-bool": (4, _set(4, ["tid"], True)),
+    "gaddr-float": (4, _set(4, ["gaddr"], 4096.0)),
+    "bytes-int": (4, _set(4, ["bytes"], 144)),
+    "writes-dict": (4, _set(4, ["writes"], {})),
+    "read-not-object": (4, _set(4, ["reads"], [7])),
+    "read-val-string": (4, _set(4, ["reads", 0, "val"], "c3")),
+    "read-g-bool": (4, _set(4, ["reads", 0, "g"], False)),
+    "rregs-int-entry": (4, _set(4, ["rregs"], [0])),
+    "wregs-string": (4, _set(4, ["wregs"], "ebx")),
+    "regvals-list": (4, _set(4, ["regvals"], [0])),
+    "regvals-string-value": (4, _set(4, ["regvals", "eax"], "0")),
+    "stack-top-null": (4, _set(4, ["stack_top"], None)),
+    "branch-list": (4, _set(4, ["branch"], [])),
+    "branch-target-string": (4, _set(4, ["branch", "target_vaddr"], "x")),
+    "image-base-null": (2, _set(2, ["base"], None)),
+    "image-name-int": (2, _set(2, ["name"], 1)),
+    "module-exports-string": (3, _set(3, ["exports"], "Sleep")),
+    "export-rva-string": (3, _set(3, ["exports", 0, "rva"], "0x10")),
+    "procexit-pid-bool": (5, _set(5, ["pid"], True)),
+    "event-not-object": (5, lambda objs: objs.__setitem__(4, [1])),
+    "format-string": (1, _set(1, ["format"], "1")),
+}
+
+
+class TestTypedValidation:
+    def test_unmutated_trace_unpacks(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in _typed_trace()))
+        assert main(["unpack", str(path), "-o", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("case", sorted(_MISTYPED))
+    def test_mistyped_field_exits_1(self, case, tmp_path, capsys):
+        line, mutate = _MISTYPED[case]
+        objs = _typed_trace()
+        mutate(objs)
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        assert main(["unpack", str(path), "-o", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"line {line}: " in err
+        assert "Traceback" not in err
+
 
 class TestCheck:
     def test_fresh_output_is_ok(self, d1_files, tmp_path, capsys):

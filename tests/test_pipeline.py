@@ -5,8 +5,15 @@ import json
 from oracles import read_pe
 import pytest
 
-from waveunpack.pipeline import _write_pairs, analyze, check_outputs, write_outputs
+from waveunpack.pipeline import (
+    _instr_line,
+    _write_pairs,
+    analyze,
+    check_outputs,
+    write_outputs,
+)
 from waveunpack.scenario_gen import TARGET_PID, generate_scenario
+from waveunpack.wave_collector import InstrRef
 
 
 def _final_output(result):
@@ -113,6 +120,19 @@ def test_pair_file_matches_json_dump(tmp_path, n):
     _write_pairs(tmp_path / "p.json", pairs)
     assert (tmp_path / "p.json").read_text() == \
         json.dumps([[v, b] for v, b in sorted(pairs.items())])
+
+
+@pytest.mark.parametrize("seq, vaddr, code", [
+    (0, 0x400000, b"\x90"),
+    (1, 0xFFFFFFFF, b"\xcc"),
+    (0, 0xFFFFFFFF, bytes(range(0xF1, 0x100))),
+    (2 ** 40, 0, bytes(15)),
+    (7, 0x401000, b"\xff\x15\x00\x10\x40\x00"),
+])
+def test_instr_line_matches_json_dumps(seq, vaddr, code):
+    line = _instr_line(InstrRef(seq, 1, vaddr, code))
+    assert line == json.dumps({"seq": seq, "vaddr": vaddr, "bytes": code.hex()},
+                              sort_keys=True) + "\n"
 
 
 class TestCheckOutputs:

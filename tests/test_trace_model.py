@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -115,6 +116,34 @@ class TestParse:
             parse_trace(header + b"\n")
         with pytest.raises(TraceFormatError, match="line 1: page size"):
             write_trace(SystemTrace(page_size=size))
+
+    def test_padded_lines_parse_as_canonical(self):
+        canonical = write_trace(SystemTrace(events=[_image(), _instr(1)]))
+        header, image, instr = canonical.splitlines()
+        padded = (b"\xef\xbb\xbf" + header + b"\n  " + image + b"\t\n"
+                  + b"\xef\xbb\xbf" + instr + b" \r\n")
+        assert parse_trace(padded) == parse_trace(canonical)
+
+    @pytest.mark.parametrize("line", [b'{"kind": "procexit", "pid": 1} x',
+                                      b'{"kind": "procexit"', b"\xff{}",
+                                      b"[1] [2]", b"[" * 100_000])
+    def test_undecodable_line_reports_line_number(self, line):
+        data = b'{"format":1,"page_size":4096}\n' + line + b"\n"
+        with pytest.raises(TraceFormatError, match="line 2: invalid JSON"):
+            parse_trace(data)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, enabled):
+        good = write_trace(SystemTrace(events=[_image(), _instr(1)]))
+        (gc.enable if enabled else gc.disable)()
+        try:
+            parse_trace(good)
+            assert gc.isenabled() is enabled
+            with pytest.raises(TraceFormatError):
+                parse_trace(good + b"{}\n")
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
     def test_empty_event_list_is_header_only(self):
         blob = write_trace(SystemTrace(events=[]))

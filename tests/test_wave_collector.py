@@ -1,9 +1,15 @@
 from __future__ import annotations
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import reference_classify_case, reference_verify_wave_semantics
 from waveunpack.scenario_gen import (
     MALWARE_PID,
+    SCENARIO_IDS,
     TARGET_PID,
     generate_scenario,
 )
@@ -214,3 +220,128 @@ class TestVerifySemantics:
                        {0x400000: 0x90}, {})
         violations = verify_wave_semantics([a, b], [], None)
         assert any(v.bullet == 1 for v in violations)
+
+
+# --- equivalence with the per-byte references in oracles.py ------------------
+
+_WINDOW = 0x600000, 24  # small address window, so spans and maps overlap
+
+
+@st.composite
+def classify_inputs(draw):
+    base, size = _WINDOW
+    addrs = st.integers(base, base + size - 1)
+    values = st.integers(0, 3)
+    shadow = draw(st.dictionaries(addrs, values, max_size=size))
+    twrites = draw(st.dictionaries(addrs, values, max_size=size))
+    vaddr = draw(st.integers(base - 4, base + size - 1))
+    code = draw(st.binary(min_size=1, max_size=15))
+    if draw(st.booleans()):  # cover the whole span, the only way to case 3
+        for v in range(vaddr, vaddr + len(code)):
+            shadow.setdefault(v, draw(values))
+    return shadow, twrites, vaddr, code
+
+
+def _copy_records(records: list[WaveRecord]) -> list[WaveRecord]:
+    return [_mk_record(r.pid, r.wave_index, list(r.instrs),
+                       dict(r.shadow_pairs), dict(r.twrite_pairs))
+            for r in records]
+
+
+@functools.cache
+def _collected(sid: str, seed: int):
+    """Image, records and malware trace of one scenario; copy before editing."""
+    trace, _ = generate_scenario(sid, seed)
+    result = collect_waves(trace)
+    return trace.image_event(), result.records, result.mtrace
+
+
+_FAULTS = ("missing shadow byte", "foreign shadow pair", "overlapping waves",
+           "duplicated seq", "instruction in no wave", "repeated encoding",
+           "rewritten encoding")
+
+
+def _inject(draw, fault: str, records: list[WaveRecord], next_seq: int):
+    def pick(seq):
+        return seq[draw(st.integers(0, len(seq) - 1))]
+
+    rec = pick(records)
+    ref = pick(rec.instrs)
+    at = draw(st.integers(0, len(rec.instrs)))
+    if fault == "missing shadow byte":
+        rec.shadow_pairs.pop(ref.vaddr + draw(st.integers(0, len(ref.bytes) - 1)),
+                             None)
+    elif fault == "foreign shadow pair":
+        v = pick(sorted(rec.shadow_pairs)) if rec.shadow_pairs else ref.vaddr
+        rec.shadow_pairs[v] = (rec.shadow_pairs.get(v, 0)
+                               + draw(st.integers(1, 255))) % 256
+    elif fault == "overlapping waves":
+        # a late instruction pushes this wave past its successor's start
+        rec.instrs.append(InstrRef(next_seq, rec.pid, ref.vaddr, ref.bytes))
+    elif fault == "duplicated seq":
+        rec.instrs.insert(at, pick(pick(records).instrs))
+    elif fault == "instruction in no wave":
+        if len(rec.instrs) > 1:
+            rec.instrs.remove(ref)
+    elif fault == "repeated encoding":  # the same (vaddr, bytes) again
+        rec.instrs.insert(at, InstrRef(next_seq, rec.pid, ref.vaddr, ref.bytes))
+    else:  # other bytes at an executed address
+        code = bytes(b ^ 0xFF for b in ref.bytes[:draw(st.integers(1, 15))])
+        rec.instrs.insert(at, InstrRef(next_seq, rec.pid, ref.vaddr, code))
+
+
+@st.composite
+def faulty_collections(draw):
+    sid = draw(st.sampled_from(SCENARIO_IDS))
+    image, records, mtrace = _collected(sid, draw(st.integers(0, 2)))
+    records = _copy_records(records)
+    next_seq = max((ref.seq for ref in mtrace), default=0) + 1
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=6)):
+        if records:
+            _inject(draw, fault, records, next_seq)
+            next_seq += 1
+    return records, mtrace, image if draw(st.booleans()) else None
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=500, deadline=None)
+    @given(classify_inputs())
+    def test_classify_case_matches_reference(self, inputs):
+        shadow, twrites, vaddr, code = inputs
+        state = ProcessState(pid=1, shadow=shadow, twrites=twrites)
+        ev = _instr(vaddr=vaddr, code=code)
+        assert classify_case(ev, state) == reference_classify_case(ev, state)
+
+    @settings(max_examples=300, deadline=None)
+    @given(faulty_collections())
+    def test_verify_matches_reference(self, collection):
+        records, mtrace, image = collection
+        got = [str(v) for v in verify_wave_semantics(records, mtrace, image)]
+        assert got == reference_verify_wave_semantics(records, mtrace, image)
+
+    @pytest.mark.parametrize("fault", _FAULTS)
+    def test_each_fault_is_reported_alike(self, fault):
+        image, records, mtrace = _collected("d3", 1)
+        records = _copy_records(records)
+        rec = records[0]
+        ref = rec.instrs[0]
+        next_seq = mtrace[-1].seq + 1
+        if fault == "missing shadow byte":
+            del rec.shadow_pairs[ref.vaddr]
+        elif fault == "foreign shadow pair":
+            rec.shadow_pairs[ref.vaddr] ^= 0xFF
+        elif fault == "overlapping waves":
+            rec.instrs.append(InstrRef(next_seq, rec.pid, ref.vaddr, ref.bytes))
+        elif fault == "duplicated seq":
+            records[1].instrs.append(ref)
+        elif fault == "instruction in no wave":
+            rec.instrs.remove(ref)
+        elif fault == "rewritten encoding":
+            rec.instrs.append(InstrRef(next_seq, rec.pid, ref.vaddr, b"\xcc"))
+        else:
+            del rec.shadow_pairs[ref.vaddr]
+            rec.instrs += [InstrRef(next_seq + i, rec.pid, ref.vaddr, ref.bytes)
+                           for i in range(3)]
+        got = [str(v) for v in verify_wave_semantics(records, mtrace, image)]
+        assert got, fault
+        assert got == reference_verify_wave_semantics(records, mtrace, image)
