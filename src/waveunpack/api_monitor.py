@@ -21,7 +21,6 @@ class ExportMap:
     """Per-process map of function start address -> (module, function)."""
 
     by_pid: dict[int, dict[int, tuple[str, str]]] = field(default_factory=dict)
-    modules: list[tuple[int, int, str]] = field(default_factory=list)
 
     def add_module(self, ev: TraceEvent):
         table = self.by_pid.setdefault(ev.pid, {})
@@ -32,7 +31,6 @@ class ExportMap:
                             ev.pid, addr, *table[addr])
                 continue
             table[addr] = (ev.name, exp.name)
-        self.modules.append((ev.pid, ev.base, ev.name))
 
     def lookup(self, pid: int, vaddr: int) -> tuple[str, str] | None:
         return self.by_pid.get(pid, {}).get(vaddr)

@@ -8,7 +8,9 @@ import sys
 from pathlib import Path
 
 from . import pipeline
+from .api_monitor import AttributionError
 from .disasm import DecodeError, decode_one
+from .pe_builder import EmitError, PatchIntegrityError
 from .scenario_gen import UnknownScenarioError, generate_scenario
 from .taint_engine import MissingImageError
 from .trace_model import (
@@ -58,6 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the trace parsed but the pipeline cannot make sense of it: exit 2
+_PIPELINE_ERRORS = (AttributionError, EmitError, MissingImageError,
+                    PatchIntegrityError)
+
+
 def cmd_unpack(args) -> int:
     try:
         trace = parse_trace(Path(args.trace).read_bytes())
@@ -83,9 +90,9 @@ def cmd_unpack(args) -> int:
     try:
         result = pipeline.analyze(trace, patch=not args.no_patch,
                                   taint_log=taint_log)
-    except MissingImageError as exc:
+    except _PIPELINE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     finally:
         if taint_log:
             taint_log.close()
@@ -135,6 +142,9 @@ def cmd_check(args) -> int:
     except (OSError, TraceFormatError, pipeline.CheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except _PIPELINE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for issue in issues:
         print(f"integrity: {issue}")
     for violation in violations:

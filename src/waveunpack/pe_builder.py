@@ -48,7 +48,7 @@ class ImportTable:
     entries: list[tuple[str, list[str]]] = field(default_factory=list)
     placement_rva: int = DEFAULT_IDATA_RVA
     slots: dict[tuple[str, str], int] = field(default_factory=dict)
-    _blob: bytes = b""
+    blob: bytes = b""
     iat_rva: int = 0
     iat_size: int = 0
     directory_size: int = 0
@@ -56,12 +56,6 @@ class ImportTable:
     @property
     def unique_count(self) -> int:
         return len(self.slots)
-
-    def blob(self) -> bytes:
-        return self._blob
-
-    def slot_rva(self, module: str, function: str) -> int:
-        return self.slots[(module, function)]
 
     def _layout(self):
         base = self.placement_rva
@@ -120,7 +114,7 @@ class ImportTable:
 
         blob[len(blob) - len(hints) - len(names):len(blob) - len(names)] = hints
         blob[len(blob) - len(names):] = names
-        self._blob = bytes(blob)
+        self.blob = bytes(blob)
 
 
 def _place_idata(size: int, intervals: list[Interval]) -> int:
@@ -152,7 +146,7 @@ def build_import_table(group: MemoryGroup,
     table.entries = list(order.items())
     table.placement_rva = 0
     table._layout()  # first pass only measures the blob
-    table.placement_rva = _place_idata(len(table.blob()), group.intervals)
+    table.placement_rva = _place_idata(len(table.blob), group.intervals)
     table._layout()
     return table
 
@@ -198,7 +192,7 @@ def patch_branches(group: MemoryGroup, calls: list[ApiCallRecord],
             raise PatchIntegrityError(
                 f"dump/trace mismatch at {call.caller_vaddr:#x}: "
                 f"dump {current.hex()} vs trace {call.caller_bytes.hex()}")
-        slot = table.slot_rva(call.module_name, call.function_name)
+        slot = table.slots[(call.module_name, call.function_name)]
         patched = False
         if enable and call.caller_len == 6 and call.btype in ("call", "jmp"):
             opcode = 0x15 if call.btype == "call" else 0x25
@@ -241,11 +235,10 @@ class PEArtifact:
     sidecar: list[dict]
 
 
-def emit_pe(group: MemoryGroup, table: ImportTable, entry: int,
-            patched_bytes: list[bytes]) -> bytes:
-    """Emit a PE32 with .idata plus one section per interval."""
-    blob = table.blob()
-    sections = [SectionSpec(".idata", table.placement_rva, blob)]
+def layout_sections(group: MemoryGroup, table: ImportTable,
+                    patched_bytes: list[bytes]) -> list[SectionSpec]:
+    """.idata plus one .wsegN per interval, sorted by RVA and disjoint."""
+    sections = [SectionSpec(".idata", table.placement_rva, table.blob)]
     for iv, data in zip(group.intervals, patched_bytes):
         if len(data) != iv.end - iv.base:
             raise EmitError("patched interval size changed")
@@ -257,7 +250,12 @@ def emit_pe(group: MemoryGroup, table: ImportTable, entry: int,
         if sec.rva < prev_end:
             raise EmitError(f"section {sec.name} overlaps at {sec.rva:#x}")
         prev_end = sec.rva + _align(max(len(sec.data), 1), SECTION_ALIGN)
+    return sections
 
+
+def emit_pe(sections: list[SectionSpec], table: ImportTable,
+            entry: int) -> bytes:
+    """Emit a PE32 holding the sections `layout_sections` laid out."""
     n = len(sections)
     headers_size = 64 + 4 + 20 + 224 + 40 * n
     size_of_headers = _align(headers_size, FILE_ALIGN)
@@ -285,7 +283,7 @@ def emit_pe(group: MemoryGroup, table: ImportTable, entry: int,
     opt = 88
     code_size = sum(len(s.data) for s in sections[1:]) if n > 1 else 0
     struct.pack_into("<HBBIIIIII", out, opt,
-                     PE32_MAGIC, 0, 0, code_size, len(blob), 0,
+                     PE32_MAGIC, 0, 0, code_size, len(table.blob), 0,
                      entry, entry, 0)
     struct.pack_into("<IIIHHHHHHIIIIHHIIIIII", out, opt + 28,
                      0,                 # ImageBase: RVA == original VA
@@ -321,10 +319,7 @@ def build_artifact(wave: WaveRecord, group: MemoryGroup,
     table = build_import_table(group, group_calls)
     entry = select_entry_point(wave, group)
     patched, api_entries = patch_branches(group, group_calls, table, enable=patch)
-    data = emit_pe(group, table, entry, patched)
-    sidecar = write_sidecar(api_entries, group.xrefs)
-    sections = [SectionSpec(".idata", table.placement_rva, table.blob())]
-    for iv, pb in zip(group.intervals, patched):
-        sections.append(SectionSpec(f".wseg{len(sections) - 1}", iv.base, pb))
+    sections = layout_sections(group, table, patched)
     return PEArtifact(group=group, entry_rva=entry, import_table=table,
-                      data=data, sections=sections, sidecar=sidecar)
+                      data=emit_pe(sections, table, entry), sections=sections,
+                      sidecar=write_sidecar(api_entries, group.xrefs))

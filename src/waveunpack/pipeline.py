@@ -113,12 +113,13 @@ def build_report(result: PipelineResult, elapsed: float | None = None) -> dict:
     final_block = None
     if final is not None:
         calls = result.per_wave_calls[(final.pid, final.wave_index)]
+        unique = _unique_apis(calls)
         final_block = {
             "pid": final.pid,
             "wave": final.wave_index,
             "api_calls": len(calls),
-            "unique_apis": _unique_apis(calls),
-            "iat_size": _unique_apis(calls),
+            "unique_apis": unique,
+            "iat_size": unique,
         }
 
     report = {
@@ -145,8 +146,11 @@ def wave_dir(out_dir: Path, pid: int, wave_index: int) -> Path:
     return Path(out_dir) / f"pid{pid}" / f"wave{wave_index}"
 
 
+# the directory names wave_dir makes
+_PID_NAME = re.compile(r"pid(\d+)")
+_WAVE_NAME = re.compile(r"wave(\d+)")
 # names an unpack writes at the top of its output directory
-_OWNED_NAME = re.compile(r"api_calls\.jsonl|report\.json|pid\d+")
+_OWNED_NAME = re.compile(rf"api_calls\.jsonl|report\.json|{_PID_NAME.pattern}")
 
 
 def write_outputs(result: PipelineResult, out_dir, no_timing: bool = False,
@@ -253,21 +257,19 @@ class CheckError(Exception):
     """Stored pipeline output disagrees with the trace or itself."""
 
 
+def _owned(directory: Path, name: re.Pattern) -> list[tuple[int, Path]]:
+    """(number, path) of the entries `name` matches, sorted by path."""
+    matches = ((name.fullmatch(p.name), p) for p in sorted(directory.iterdir()))
+    return [(int(m.group(1)), p) for m, p in matches if m]
+
+
 def load_wave_records(out_dir, page_size: int = 4096) -> list[WaveRecord]:
-    """Rebuild WaveRecords from an unpack output directory."""
+    """Rebuild WaveRecords from the pid<N>/wave<N> directories of an unpack."""
     out = Path(out_dir)
     records = []
-    for pid_dir in sorted(out.glob("pid*")):
-        pid = int(pid_dir.name[3:])
-        for wdir in sorted(pid_dir.glob("wave*")):
-            wave_index = int(wdir.name[4:])
-            instrs = []
-            with open(wdir / "instrs.jsonl", encoding="utf-8") as fh:
-                for line in fh:
-                    obj = json.loads(line)
-                    instrs.append(InstrRef(seq=obj["seq"], pid=pid,
-                                           vaddr=obj["vaddr"],
-                                           bytes=bytes.fromhex(obj["bytes"])))
+    for pid, pid_dir in _owned(out, _PID_NAME):
+        for wave_index, wdir in _owned(pid_dir, _WAVE_NAME):
+            instrs = _read_instrs(wdir / "instrs.jsonl", pid)
             shadow = _read_pairs(wdir / "shadow.json")
             twrites = _read_pairs(wdir / "twrites.json")
             dumps = {}
@@ -281,14 +283,38 @@ def load_wave_records(out_dir, page_size: int = 4096) -> list[WaveRecord]:
                 raise CheckError(f"{wdir}: wave with no instructions")
             records.append(WaveRecord(
                 pid=pid, wave_index=wave_index, instrs=instrs,
-                shadow_pairs=shadow, twrite_pairs=twrites, page_dumps=dumps,
-                entry_vaddr=instrs[0].vaddr))
+                shadow_pairs=shadow, twrite_pairs=twrites, page_dumps=dumps))
     return records
+
+
+def _read_instrs(path: Path, pid: int) -> list[InstrRef]:
+    instrs = []
+    line_no = 0
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                obj = json.loads(line)
+                seq, vaddr = obj["seq"], obj["vaddr"]
+                if type(seq) is not int or type(vaddr) is not int:
+                    raise TypeError("'seq' and 'vaddr' must be integers")
+                instrs.append(InstrRef(seq, pid, vaddr,
+                                       bytes.fromhex(obj["bytes"])))
+        except KeyError as exc:
+            raise CheckError(f"{path}: line {line_no}: missing key {exc}") from None
+        except (ValueError, TypeError) as exc:
+            raise CheckError(f"{path}: line {line_no}: {exc}") from None
+    return instrs
 
 
 def _read_pairs(path: Path) -> dict[int, int]:
     with open(path, encoding="utf-8") as fh:
-        return {v: b for v, b in json.load(fh)}
+        try:
+            pairs = {v: b for v, b in json.load(fh)}
+            if not set(map(type, pairs)) <= {int}:  # bools are not addresses
+                raise TypeError("addresses must be integers")
+        except (ValueError, TypeError) as exc:
+            raise CheckError(f"{path}: {exc}") from None
+    return pairs
 
 
 def check_outputs(trace: SystemTrace, out_dir) -> tuple[list[str], list[Violation]]:
@@ -320,11 +346,14 @@ def check_outputs(trace: SystemTrace, out_dir) -> tuple[list[str], list[Violatio
 
     report_file = out / "report.json"
     if report_file.exists():
-        with open(report_file, encoding="utf-8") as fh:
-            stored_report = json.load(fh)
+        try:
+            stored_report = json.loads(report_file.read_bytes())
+        except ValueError as exc:
+            raise CheckError(f"{report_file}: {exc}") from None
         fresh = dict(result.report)
         fresh.pop("timing", None)
-        stored_report.pop("timing", None)
+        if isinstance(stored_report, dict):
+            stored_report.pop("timing", None)
         if stored_report != fresh:
             issues.append("report.json aggregates differ from recomputation")
     else:

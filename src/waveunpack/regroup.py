@@ -117,10 +117,8 @@ def merge_groups(intervals: list[Interval],
     ref_owners = []
     for site, target in refs:
         src, dst = owner(site), owner(target)
-        if src is None or dst is None or src == dst:
-            ref_owners.append((site, target, src))
-            continue
-        union(src, dst)
+        if src is not None and dst is not None:
+            union(src, dst)
         ref_owners.append((site, target, src))
 
     members: dict[int, list[Interval]] = {}

@@ -24,9 +24,6 @@ class PropagationSet:
     tainted_mem: set[int] = field(default_factory=set)
     tainted_regs: set[tuple[int, int, str]] = field(default_factory=set)
 
-    def copy(self) -> "PropagationSet":
-        return PropagationSet(set(self.tainted_mem), set(self.tainted_regs))
-
     @property
     def empty(self) -> bool:
         return not self.tainted_mem and not self.tainted_regs

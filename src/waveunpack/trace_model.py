@@ -349,38 +349,46 @@ def parse_trace(data) -> SystemTrace:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        _parse_events(lines, trace.events)
+        trace.events.extend(_check_stream(
+            (n, _event_from_obj(_loads(raw, n), n))
+            for n, raw in enumerate(lines[1:], start=2)
+            if raw and not raw.isspace()))
     finally:
         if collecting:
             gc.enable()
     return trace
 
 
-def _parse_events(lines: list[bytes], events: list[TraceEvent]):
+def _check_stream(numbered_events):
+    """Yield the events of (line, event) pairs that pass the stream rules.
+
+    The rules: instruction invariants, at most one image, no instruction of
+    the malware pid before it, and strictly rising seq. A lazy source fails
+    on its first bad line, whether the fault is in the line or the stream.
+    """
     last_seq = None
-    image = None
+    image_seen = False
     instr_pids_before_image = set()
-    for line_no, raw in enumerate(lines[1:], start=2):
-        if not raw or raw.isspace():
-            continue
-        ev = _event_from_obj(_loads(raw, line_no), line_no)
-        if ev.kind == "image":
-            if image is not None:
+    for line_no, ev in numbered_events:
+        kind = ev.kind
+        if kind == "instr":
+            _check_instr_invariants(ev, line_no)
+            seq = ev.seq
+            if last_seq is not None and seq <= last_seq:
+                raise TraceFormatError(
+                    f"non-monotone seq {seq} (previous {last_seq})", line_no)
+            last_seq = seq
+            if not image_seen:
+                instr_pids_before_image.add(ev.pid)
+        elif kind == "image":
+            if image_seen:
                 raise TraceFormatError("multiple image events", line_no)
             if ev.pid in instr_pids_before_image:
                 raise TraceFormatError(
                     f"instr event before any image event in the malware pid {ev.pid}",
                     line_no)
-            image = ev
-        elif ev.kind == "instr":
-            _check_instr_invariants(ev, line_no)
-            if last_seq is not None and ev.seq <= last_seq:
-                raise TraceFormatError(
-                    f"non-monotone seq {ev.seq} (previous {last_seq})", line_no)
-            last_seq = ev.seq
-            if image is None:
-                instr_pids_before_image.add(ev.pid)
-        events.append(ev)
+            image_seen = True
+        yield ev
 
 
 def _event_to_obj(ev: TraceEvent) -> dict:
@@ -419,28 +427,9 @@ def write_trace(trace: SystemTrace) -> bytes:
     """Serialize canonically: sorted keys, lower-case hex, no extra whitespace."""
     out = [_dumps({"format": trace.version,
                    "page_size": _header_page_size(trace.page_size)})]
-    last_seq = None
-    image_seen = False
-    instr_pids_before_image = set()
-    for idx, ev in enumerate(trace.events):
-        line_no = idx + 2  # mirrors the file position parse_trace would report
-        if ev.kind == "image":
-            if image_seen:
-                raise TraceFormatError("multiple image events", line_no)
-            if ev.pid in instr_pids_before_image:
-                raise TraceFormatError(
-                    f"instr event before any image event in the malware pid {ev.pid}",
-                    line_no)
-            image_seen = True
-        elif ev.kind == "instr":
-            _check_instr_invariants(ev, line_no)
-            if last_seq is not None and ev.seq <= last_seq:
-                raise TraceFormatError(
-                    f"non-monotone seq {ev.seq} (previous {last_seq})", line_no)
-            last_seq = ev.seq
-            if not image_seen:
-                instr_pids_before_image.add(ev.pid)
-        out.append(_dumps(_event_to_obj(ev)))
+    # line numbers mirror the file position parse_trace would report
+    out.extend(_dumps(_event_to_obj(ev))
+               for ev in _check_stream(enumerate(trace.events, start=2)))
     return b"\n".join(out) + b"\n"
 
 

@@ -55,7 +55,10 @@ class WaveRecord:
     shadow_pairs: dict[int, int]
     twrite_pairs: dict[int, int]
     page_dumps: dict[int, bytes]
-    entry_vaddr: int
+
+    @property
+    def entry_vaddr(self) -> int:
+        return self.instrs[0].vaddr
 
     @property
     def first_seq(self) -> int:
@@ -67,18 +70,9 @@ class WaveRecord:
 
 
 @dataclass
-class WaveSet:
-    """All waves of a run, ordered per process."""
-
-    by_pid: dict[int, list[WaveRecord]]
-    records: list[WaveRecord]
-
-
-@dataclass
 class CollectResult:
     mtrace: list[InstrRef]
-    wave_set: WaveSet
-    records: list[WaveRecord]
+    records: list[WaveRecord]  # in closing order
 
 
 @dataclass(frozen=True)
@@ -133,18 +127,18 @@ def dump_wave(state: ProcessState, trigger: InstrRef | None,
     Returns the logged record, or None when the wave executed nothing
     (zero-instruction waves are suppressed). The new wave's shadow memory is
     the closed wave's tainted writes; the trigger instruction, if any,
-    becomes the new wave's entry point.
+    becomes the new wave's entry point. The record takes over the state's
+    shadow and instruction list; the state gets new ones.
     """
     record = None
     if state.cur_instrs:
         record = WaveRecord(
             pid=state.pid,
             wave_index=state.wave_index,
-            instrs=list(state.cur_instrs),
-            shadow_pairs=dict(state.shadow),
+            instrs=state.cur_instrs,
+            shadow_pairs=state.shadow,
             twrite_pairs=dict(state.twrites),
             page_dumps=_dump_pages(state, observed, page_size),
-            entry_vaddr=state.cur_instrs[0].vaddr,
         )
         state.wave_index += 1
     state.shadow = dict(state.twrites)
@@ -178,6 +172,11 @@ def collect_waves(trace: SystemTrace, monitor=None,
             states[pid] = st
         return st
 
+    def close(st: ProcessState, trigger: InstrRef | None):
+        rec = dump_wave(st, trigger, observed, page_size)
+        if rec is not None:
+            records.append(rec)
+
     for ev in trace.events:
         kind = ev.kind
         if kind == "image":
@@ -195,9 +194,7 @@ def collect_waves(trace: SystemTrace, monitor=None,
         if kind == "procexit":
             st = states.get(ev.pid)
             if st is not None:
-                rec = dump_wave(st, None, observed, page_size)
-                if rec is not None:
-                    records.append(rec)
+                close(st, None)
             if monitor is not None:
                 monitor.on_procexit(ev.pid)
             continue
@@ -215,9 +212,7 @@ def collect_waves(trace: SystemTrace, monitor=None,
                 st.shadow.update(zip(ev.vspan(), ev.bytes))
                 st.cur_instrs.append(ref)
             elif case in (2, 3):
-                rec = dump_wave(st, ref, observed, page_size)
-                if rec is not None:
-                    records.append(rec)
+                close(st, ref)
             else:
                 st.cur_instrs.append(ref)
             if monitor is not None:
@@ -230,20 +225,8 @@ def collect_waves(trace: SystemTrace, monitor=None,
             break
 
     for pid in sorted(states):
-        rec = dump_wave(states[pid], None, observed, page_size)
-        if rec is not None:
-            records.append(rec)
-
-    by_pid: dict[int, list[WaveRecord]] = {}
-    for rec in records:
-        by_pid.setdefault(rec.pid, []).append(rec)
-    for recs in by_pid.values():
-        recs.sort(key=lambda r: r.wave_index)
-    return CollectResult(
-        mtrace=mtrace,
-        wave_set=WaveSet(by_pid=by_pid, records=records),
-        records=records,
-    )
+        close(states[pid], None)
+    return CollectResult(mtrace=mtrace, records=records)
 
 
 def verify_wave_semantics(records: list[WaveRecord], mtrace: list[InstrRef],

@@ -84,7 +84,7 @@ def test_criterion_2_wave_semantics(full_sweep):
     def rec(pid, widx, instrs, shadow, twrites):
         return WaveRecord(pid=pid, wave_index=widx, instrs=instrs,
                           shadow_pairs=shadow, twrite_pairs=twrites,
-                          page_dumps={}, entry_vaddr=instrs[0].vaddr)
+                          page_dumps={})
 
     r1 = InstrRef(1, 1, 0x400000, b"\x90")
     stray = InstrRef(9, 1, 0x400001, b"\x90")
@@ -188,8 +188,7 @@ def test_criterion_6_page_grouping_worked_example():
     for p in tainted:
         shadow.setdefault(p, 0)
     wave = WaveRecord(pid=1, wave_index=0, instrs=instrs,
-                      shadow_pairs=shadow, twrite_pairs={}, page_dumps=dumps,
-                      entry_vaddr=0x5300000)
+                      shadow_pairs=shadow, twrite_pairs={}, page_dumps=dumps)
 
     grouping = group_wave(wave, page)
     assert len(grouping.kept) == 1

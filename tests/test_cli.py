@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from waveunpack.cli import main
-from waveunpack.trace_model import SystemTrace, write_trace
+from waveunpack.scenario_gen import generate_scenario
+from waveunpack.trace_model import MemLoc, SystemTrace, TraceEvent, write_trace
 
 
 @pytest.fixture
@@ -307,6 +310,96 @@ class TestCheck:
         page.write_bytes(b"\xff" * 4096)
         assert main(["check", str(trace), str(out)]) == 1
         assert "differs" in capsys.readouterr().out
+
+
+def _write_lines(path, keep):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(keep(lines)))
+
+
+def _drop_vaddr(lines):
+    obj = json.loads(lines[0])
+    del obj["vaddr"]
+    return [json.dumps(obj) + "\n"] + lines[1:]
+
+
+# (damage to an unpacked d1 tree, exit code, text on stderr or stdout)
+_DAMAGED_TREES = {
+    "instrs-not-json": (
+        lambda out: _write_lines(out / "pid100" / "wave1" / "instrs.jsonl",
+                                 lambda ls: ls[:1] + ["not json\n"] + ls[2:]),
+        1, "wave1/instrs.jsonl: line 2: "),
+    "instrs-missing-vaddr": (
+        lambda out: _write_lines(out / "pid100" / "wave0" / "instrs.jsonl",
+                                 _drop_vaddr),
+        1, "wave0/instrs.jsonl: line 1: missing key 'vaddr'"),
+    "shadow-truncated": (
+        lambda out: _write_lines(out / "pid100" / "wave0" / "shadow.json",
+                                 lambda ls: ["".join(ls)[:-20]]),
+        1, "wave0/shadow.json: "),
+    "shadow-string-address": (
+        lambda out: (out / "pid100" / "wave0" / "shadow.json").write_text(
+            '[["0x5000000", 144]]'),
+        1, "wave0/shadow.json: addresses must be integers"),
+    "foreign-pid-directory": (
+        lambda out: (out / "pidx" / "wave0").mkdir(parents=True),
+        0, "OK, 0 violations"),
+    "missing-directory": (
+        lambda out: shutil.rmtree(out),
+        1, "No such file or directory"),
+}
+
+
+class TestCheckDamagedTree:
+    @pytest.mark.parametrize("case", sorted(_DAMAGED_TREES))
+    def test_damage_is_reported_not_raised(self, case, d1_files, tmp_path,
+                                           capsys):
+        damage, code, text = _DAMAGED_TREES[case]
+        trace, _ = d1_files
+        out = tmp_path / "out"
+        assert main(["unpack", str(trace), "-o", str(out)]) == 0
+        damage(out)
+        capsys.readouterr()
+        assert main(["check", str(trace), str(out)]) == code
+        captured = capsys.readouterr()
+        assert text in (captured.err if code else captured.out)
+        assert "Traceback" not in captured.err
+
+
+def _write_mismatched_site_trace(path):
+    """d1 where a benign write flips a call site's first byte after the call.
+
+    Seqs are doubled to make room for the writer right after the 6-byte
+    `ff 15` call, so the dumped site no longer matches the traced bytes.
+    """
+    trace, _ = generate_scenario("d1", 1)
+    events = []
+    for ev in trace.events:
+        if ev.kind == "instr":
+            ev = dataclasses.replace(ev, seq=2 * ev.seq)
+        events.append(ev)
+        if ev.kind == "instr" and ev.vaddr == 0x5007001:
+            assert ev.bytes[:2] == b"\xff\x15" and len(ev.bytes) == 6
+            flip = MemLoc(ev.gaddr, ev.vaddr, ev.pid, ev.bytes[0] ^ 0xFF)
+            events.append(TraceEvent(kind="instr", pid=300, seq=ev.seq + 1,
+                                     tid=1, vaddr=0x700000, gaddr=0x7000000,
+                                     bytes=b"\x90", writes=(flip,)))
+    trace.events = events
+    path.write_bytes(write_trace(trace))
+
+
+class TestPipelineErrors:
+    @pytest.mark.parametrize("command", ["unpack", "check"])
+    def test_patch_mismatch_exits_2(self, command, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        _write_mismatched_site_trace(trace)
+        out = str(tmp_path / "out")
+        args = ([command, str(trace), "-o", out] if command == "unpack"
+                else [command, str(trace), out])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "error: dump/trace mismatch at 0x5007001" in err
+        assert "Traceback" not in err
 
 
 class TestDecode:

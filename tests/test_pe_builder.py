@@ -12,7 +12,7 @@ from waveunpack.pe_builder import (
     PatchIntegrityError,
     build_artifact,
     build_import_table,
-    emit_pe,
+    layout_sections,
     patch_branches,
     select_entry_point,
     write_sidecar,
@@ -41,8 +41,7 @@ def _group(*spans, data=None):
 
 def _wave(instrs):
     return WaveRecord(pid=1, wave_index=0, instrs=instrs, shadow_pairs={},
-                      twrite_pairs={}, page_dumps={},
-                      entry_vaddr=instrs[0].vaddr)
+                      twrite_pairs={}, page_dumps={})
 
 
 class TestImportTable:
@@ -65,7 +64,7 @@ class TestImportTable:
 
     def test_empty_table_is_null_terminator(self):
         table = build_import_table(_group((0x5300000, 0x5301000)), [])
-        assert table.blob() == bytes(20)
+        assert table.blob == bytes(20)
 
     def test_slots_ascend_and_align(self):
         group = _group((0x5300000, 0x5301000))
@@ -127,7 +126,7 @@ class TestPatch:
         patched, sidecar = patch_branches(group, [call], table)
         ins = decode_one(patched[0][0x10:0x16], 0x5300010)
         assert ins.mnemonic == "call"
-        assert ins.abs_ref == table.slot_rva("kernel32", "GetModuleHandleA")
+        assert ins.abs_ref == table.slots[("kernel32", "GetModuleHandleA")]
         assert sidecar[0]["patched"] is True
 
     def test_jmp_rewritten_with_ff25(self):
@@ -150,8 +149,8 @@ class TestPatch:
         assert patched[0][0x10:0x12] == b"\xff\xd0"
         assert sidecar == [{"caller_vaddr": 0x5300010, "len": 2,
                             "function": "kernel32!GetModuleHandleA",
-                            "slot_rva": table.slot_rva("kernel32",
-                                                       "GetModuleHandleA"),
+                            "slot_rva": table.slots[("kernel32",
+                                                     "GetModuleHandleA")],
                             "patched": False}]
 
     def test_ret_site_never_patched(self):
@@ -235,6 +234,16 @@ class TestEmit:
         with pytest.raises(EmitError):
             build_artifact(wave, g, [])
 
+    def test_artifact_sections_are_the_emitted_sections(self):
+        # .idata sits between the two intervals, so the RVA order interleaves
+        g = _group((0x1000, 0x3000), (0x8000, 0x9000))
+        wave = _wave([InstrRef(1, 1, 0x1000, b"\x90")])
+        art = build_artifact(wave, g, [])
+        pe = read_pe(art.data)
+        assert [(s.name, s.rva, len(s.data)) for s in art.sections] == \
+            [(s.name, s.vaddr, s.vsize) for s in pe.sections]
+        assert [s.name for s in art.sections] == [".wseg0", ".idata", ".wseg1"]
+
     def test_size_of_image_covers_everything(self):
         art = self._artifact()
         pe = read_pe(art.data)
@@ -242,11 +251,11 @@ class TestEmit:
         assert pe.size_of_image >= top
         assert pe.size_of_image % 0x1000 == 0
 
-    def test_emit_rejects_resized_interval(self):
+    def test_layout_rejects_resized_interval(self):
         g = _group((0x5300000, 0x5301000))
         table = build_import_table(g, [])
         with pytest.raises(EmitError):
-            emit_pe(g, table, 0x5300000, [b"\x00" * 10])
+            layout_sections(g, table, [b"\x00" * 10])
 
 
 class TestSidecar:

@@ -17,7 +17,7 @@ PAGE = 4096
 def _wave(instrs, dumps, shadow=None, twrites=None, pid=1):
     return WaveRecord(pid=pid, wave_index=0, instrs=instrs,
                       shadow_pairs=shadow or {}, twrite_pairs=twrites or {},
-                      page_dumps=dumps, entry_vaddr=instrs[0].vaddr)
+                      page_dumps=dumps)
 
 
 def _ref(seq, vaddr, code=b"\x90"):

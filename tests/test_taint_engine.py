@@ -121,11 +121,11 @@ class TestInclusionPredicate:
     def test_predicate_is_pure(self):
         pset = init_taint(_image())
         ev = _instr(gaddr=0x1000)
-        before = pset.copy()
+        mem, regs = set(pset.tainted_mem), set(pset.tainted_regs)
         for _ in range(3):
             assert is_tainted_instruction(ev, pset)
-        assert pset.tainted_mem == before.tainted_mem
-        assert pset.tainted_regs == before.tainted_regs
+        assert pset.tainted_mem == mem
+        assert pset.tainted_regs == regs
 
 
 def _naive_state_matches(pset, state):

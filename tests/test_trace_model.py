@@ -29,6 +29,46 @@ def _instr(seq, pid=1, vaddr=0x400000, gaddr=0x1000, code=b"\x90", **kw):
                       gaddr=gaddr, bytes=code, **kw)
 
 
+# each event list breaks one stream rule at the given line
+_STREAM_FAULTS = {
+    "multiple images": ([_image(), _instr(1), _image()], 4,
+                        "multiple image events"),
+    "instr before image": ([_instr(1), _image()], 3,
+                           "instr event before any image event in the "
+                           "malware pid 1"),
+    "non-monotone seq": ([_image(), _instr(5),
+                          _instr(5, vaddr=0x400001, gaddr=0x1001)], 4,
+                         "non-monotone seq 5 (previous 5)"),
+}
+
+
+def _lines_of(events) -> bytes:
+    """Header plus each event's canonical line, without the stream rules."""
+    return write_trace(SystemTrace()) + b"".join(
+        write_trace(SystemTrace(events=[ev])).split(b"\n", 1)[1]
+        for ev in events)
+
+
+class TestStreamRules:
+    @pytest.mark.parametrize("fault", sorted(_STREAM_FAULTS))
+    def test_parse_and_write_reject_alike(self, fault):
+        events, line, message = _STREAM_FAULTS[fault]
+        with pytest.raises(TraceFormatError) as parsed:
+            parse_trace(_lines_of(events))
+        with pytest.raises(TraceFormatError) as written:
+            write_trace(SystemTrace(events=events))
+        assert str(parsed.value) == str(written.value) == f"line {line}: {message}"
+        assert parsed.value.line == written.value.line == line
+
+    def test_first_bad_line_wins_either_way(self):
+        stream_fault = _lines_of([_image(), _image()])
+        with pytest.raises(TraceFormatError, match="line 3: multiple image"):
+            parse_trace(stream_fault + b"not json\n")
+        format_fault = _lines_of([_image()]) + b"not json\n"
+        with pytest.raises(TraceFormatError, match="line 3: invalid JSON"):
+            parse_trace(format_fault + _lines_of([_image()]).split(b"\n", 1)[1])
+
+
 class TestParse:
     def test_image_only_trace(self):
         trace = SystemTrace(events=[_image()])

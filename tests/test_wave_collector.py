@@ -30,6 +30,10 @@ def _instr(seq=1, pid=1, vaddr=0x400000, gaddr=0x1000, code=b"\x90", **kw):
                       gaddr=gaddr, bytes=code, **kw)
 
 
+def _waves_of(result, pid):
+    return [r for r in result.records if r.pid == pid]
+
+
 class TestClassifyCase:
     def test_unknown_memory_is_case1(self):
         state = ProcessState(pid=1)
@@ -68,7 +72,7 @@ class TestDumpWave:
         trace, _ = generate_scenario("d1", 9)
         image = trace.image_event()
         result = collect_waves(trace)
-        first = result.wave_set.by_pid[MALWARE_PID][0]
+        first = _waves_of(result, MALWARE_PID)[0]
         assert first.shadow_pairs == {image.base + i: b
                                       for i, b in enumerate(image.bytes)}
         assert first.wave_index == 0
@@ -94,6 +98,23 @@ class TestDumpWave:
         assert state.wave_index == 0
         assert state.shadow == {0x600000: 1}
 
+    def test_record_unaffected_by_later_state_changes(self):
+        # the record takes over the state's shadow and instruction list
+        state = ProcessState(pid=1, shadow={0x400000: 0xCC},
+                             twrites={0x600000: 0x90},
+                             cur_instrs=[InstrRef(1, 1, 0x400000, b"\xcc")])
+        rec = dump_wave(state, InstrRef(2, 1, 0x600000, b"\x90"),
+                        ObservedMemory(), 4096)
+        state.shadow[0x400000] = 0x00
+        state.shadow[0x700000] = 0x01
+        state.twrites[0x600000] = 0x00
+        state.twrites[0x700000] = 0x01
+        state.cur_instrs.append(InstrRef(3, 1, 0x700000, b"\x01"))
+        assert rec.shadow_pairs == {0x400000: 0xCC}
+        assert rec.twrite_pairs == {0x600000: 0x90}
+        assert rec.instrs == [InstrRef(1, 1, 0x400000, b"\xcc")]
+        assert rec.entry_vaddr == 0x400000
+
     def test_twrites_cleared_in_place(self):
         # the taint engine aliases the twrites dict; rotation must keep it
         tw = {0x600000: 1}
@@ -107,20 +128,21 @@ class TestCollectWaves:
     def test_d1_one_process_two_waves(self):
         trace, _ = generate_scenario("d1", 1)
         result = collect_waves(trace)
-        assert set(result.wave_set.by_pid) == {MALWARE_PID}
+        assert {r.pid for r in result.records} == {MALWARE_PID}
         assert len(result.records) == 2
 
     def test_c1_two_processes_one_wave_each(self):
         trace, _ = generate_scenario("c1", 1)
         result = collect_waves(trace)
-        assert set(result.wave_set.by_pid) == {MALWARE_PID, TARGET_PID}
-        assert [len(v) for v in result.wave_set.by_pid.values()] == [1, 1]
+        assert {r.pid for r in result.records} == {MALWARE_PID, TARGET_PID}
+        assert [len(_waves_of(result, pid))
+                for pid in (MALWARE_PID, TARGET_PID)] == [1, 1]
 
     def test_cross_process_arrival_is_case1_not_new_writer_wave(self):
         trace, _ = generate_scenario("c1", 1)
         result = collect_waves(trace)
-        assert len(result.wave_set.by_pid[MALWARE_PID]) == 1
-        target_wave = result.wave_set.by_pid[TARGET_PID][0]
+        assert len(_waves_of(result, MALWARE_PID)) == 1
+        target_wave = _waves_of(result, TARGET_PID)[0]
         # arrival built the shadow from executed instructions only
         own = set()
         for ref in target_wave.instrs:
@@ -151,7 +173,7 @@ class TestCollectWaves:
     def test_wave_ordering_within_process(self):
         trace, _ = generate_scenario("d3", 2)
         result = collect_waves(trace)
-        waves = result.wave_set.by_pid[MALWARE_PID]
+        waves = _waves_of(result, MALWARE_PID)
         for prev, cur in zip(waves, waves[1:]):
             assert prev.last_seq < cur.first_seq
 
@@ -166,7 +188,7 @@ class TestCollectWaves:
 def _mk_record(pid, widx, instrs, shadow, twrites):
     return WaveRecord(pid=pid, wave_index=widx, instrs=instrs,
                       shadow_pairs=shadow, twrite_pairs=twrites,
-                      page_dumps={}, entry_vaddr=instrs[0].vaddr)
+                      page_dumps={})
 
 
 class TestVerifySemantics:
