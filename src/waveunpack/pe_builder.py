@@ -281,7 +281,7 @@ def emit_pe(sections: list[SectionSpec], table: ImportTable,
                      COFF_CHARACTERISTICS)
 
     opt = 88
-    code_size = sum(len(s.data) for s in sections[1:]) if n > 1 else 0
+    code_size = sum(len(s.data) for s in sections if s.name != ".idata")
     struct.pack_into("<HBBIIIIII", out, opt,
                      PE32_MAGIC, 0, 0, code_size, len(table.blob), 0,
                      entry, entry, 0)

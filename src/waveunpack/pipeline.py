@@ -7,13 +7,14 @@ import re
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 
 from .api_monitor import ApiCallRecord, ApiMonitor, attribute_calls
 from .pe_builder import PEArtifact, build_artifact
 from .regroup import WaveGrouping, group_wave
-from .trace_model import SystemTrace
+from .trace_model import SystemTrace, check_page_size
 from .wave_collector import (
     CollectResult,
     InstrRef,
@@ -142,15 +143,75 @@ def build_report(result: PipelineResult, elapsed: float | None = None) -> dict:
     return report
 
 
-def wave_dir(out_dir: Path, pid: int, wave_index: int) -> Path:
-    return Path(out_dir) / f"pid{pid}" / f"wave{wave_index}"
-
-
-# the directory names wave_dir makes
+# the directory names an unpack gives processes and waves
 _PID_NAME = re.compile(r"pid(\d+)")
 _WAVE_NAME = re.compile(r"wave(\d+)")
 # names an unpack writes at the top of its output directory
 _OWNED_NAME = re.compile(rf"api_calls\.jsonl|report\.json|{_PID_NAME.pattern}")
+# lines or pairs encoded per chunk, so one chunk, not a file, is held
+_BATCH = 1024
+
+
+def _render(result: PipelineResult):
+    """Yield (relative path, byte chunks) of each output file but report.json.
+
+    The one place that names and encodes the tree's files: write_outputs
+    writes these chunks, check_outputs compares them. Chunks encode lazily.
+    """
+    yield "api_calls.jsonl", _batched(
+        json.dumps(rec.log_obj(), sort_keys=True) + "\n"
+        for rec in result.api_records)
+    for wave_out in result.outputs:
+        rec = wave_out.record
+        wdir = f"pid{rec.pid}/wave{rec.wave_index}"
+        yield f"{wdir}/instrs.jsonl", _batched(map(_instr_line, rec.instrs))
+        yield f"{wdir}/shadow.json", _pair_chunks(rec.shadow_pairs)
+        yield f"{wdir}/twrites.json", _pair_chunks(rec.twrite_pairs)
+        for base, data in rec.page_dumps.items():
+            yield f"{wdir}/pages/{base:08x}.bin", (data,)
+        groups_doc = {
+            "groups": [
+                {"id": gi,
+                 "intervals": [[iv.base, iv.end] for iv in grp.intervals],
+                 "xrefs": sorted(list(x) for x in grp.xrefs)}
+                for gi, grp in enumerate(wave_out.grouping.kept)
+            ],
+            "dropped_pages": wave_out.grouping.dropped_pages,
+            "refs": sorted(list(x) for x in wave_out.grouping.refs),
+        }
+        yield f"{wdir}/groups.json", (_json_doc(groups_doc),)
+        for gi, art in enumerate(wave_out.artifacts):
+            yield f"{wdir}/group{gi}.exe", (art.data,)
+            yield f"{wdir}/group{gi}.xrefs.json", (_json_doc(art.sidecar),)
+
+
+def _json_doc(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True, indent=1).encode()
+
+
+def _batched(lines):
+    """Encode an iterator of text lines _BATCH at a time."""
+    while batch := "".join(islice(lines, _BATCH)):
+        yield batch.encode()
+
+
+def _instr_line(ref: InstrRef) -> str:
+    """One instrs.jsonl line, the text json.dumps(sort_keys=True) gives."""
+    return '{"bytes": "%s", "seq": %d, "vaddr": %d}\n' % (
+        ref.bytes.hex(), ref.seq, ref.vaddr)
+
+
+def _pair_chunks(pairs: dict[int, int]):
+    """Sorted [v, b] pairs as one JSON array, the bytes json.dumps gives.
+
+    Batches keep the text held small; json.dumps runs the C encoder.
+    """
+    items = sorted(pairs.items())
+    yield b"["
+    for i in range(0, len(items), _BATCH):
+        text = json.dumps(items[i:i + _BATCH])[1:-1]
+        yield (", " + text if i else text).encode()
+    yield b"]"
 
 
 def write_outputs(result: PipelineResult, out_dir, no_timing: bool = False,
@@ -162,16 +223,18 @@ def write_outputs(result: PipelineResult, out_dir, no_timing: bool = False,
     the directory holds exactly this run's outputs. Entries an unpack never
     writes (a taint log, say) are left alone.
     """
-    report = dict(result.report)
-    if no_timing:
-        report.pop("timing", None)
+    report = _untimed(result.report) if no_timing else dict(result.report)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".unpack-", dir=out))
     try:
-        _write_waves(result, stage)
+        for rel, chunks in _render(result):
+            path = stage / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "wb") as fh:
+                fh.writelines(chunks)
         if not report_path:
-            _write_report(report, stage / "report.json")
+            (stage / "report.json").write_bytes(_json_doc(report))
         old = stage / ".old"
         old.mkdir()
         for entry in out.iterdir():
@@ -183,74 +246,12 @@ def write_outputs(result: PipelineResult, out_dir, no_timing: bool = False,
     finally:
         shutil.rmtree(stage, ignore_errors=True)
     if report_path:
-        _write_report(report, Path(report_path))
+        Path(report_path).write_bytes(_json_doc(report))
     return report
 
 
-def _write_report(report: dict, path: Path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
-
-
-def _write_waves(result: PipelineResult, out: Path):
-    with open(out / "api_calls.jsonl", "w", encoding="utf-8") as fh:
-        for rec in result.api_records:
-            fh.write(json.dumps(rec.log_obj(), sort_keys=True) + "\n")
-
-    for wave_out in result.outputs:
-        rec = wave_out.record
-        wdir = wave_dir(out, rec.pid, rec.wave_index)
-        (wdir / "pages").mkdir(parents=True, exist_ok=True)
-        with open(wdir / "instrs.jsonl", "w", encoding="utf-8") as fh:
-            fh.writelines(map(_instr_line, rec.instrs))
-        _write_pairs(wdir / "shadow.json", rec.shadow_pairs)
-        _write_pairs(wdir / "twrites.json", rec.twrite_pairs)
-        for base, data in rec.page_dumps.items():
-            (wdir / "pages" / f"{base:08x}.bin").write_bytes(data)
-
-        groups_doc = {
-            "groups": [
-                {"id": gi,
-                 "intervals": [[iv.base, iv.end] for iv in grp.intervals],
-                 "xrefs": sorted(list(x) for x in grp.xrefs)}
-                for gi, grp in enumerate(wave_out.grouping.kept)
-            ],
-            "dropped_pages": wave_out.grouping.dropped_pages,
-            "refs": sorted(list(x) for x in wave_out.grouping.refs),
-        }
-        with open(wdir / "groups.json", "w", encoding="utf-8") as fh:
-            json.dump(groups_doc, fh, sort_keys=True, indent=1)
-
-        for gi, art in enumerate(wave_out.artifacts):
-            (wdir / f"group{gi}.exe").write_bytes(art.data)
-            with open(wdir / f"group{gi}.xrefs.json", "w",
-                      encoding="utf-8") as fh:
-                json.dump(art.sidecar, fh, sort_keys=True, indent=1)
-
-
-def _instr_line(ref: InstrRef) -> str:
-    """One instrs.jsonl line, the text json.dumps(sort_keys=True) gives."""
-    return '{"bytes": "%s", "seq": %d, "vaddr": %d}\n' % (
-        ref.bytes.hex(), ref.seq, ref.vaddr)
-
-
-_PAIR_BATCH = 1024
-
-
-def _write_pairs(path: Path, pairs: dict[int, int]):
-    """Write sorted [v, b] pairs as one JSON array, the bytes json.dump gives.
-
-    json.dumps runs the C encoder, which json.dump never does; encoding in
-    batches keeps the text held in memory small. Tuples encode as arrays.
-    """
-    items = sorted(pairs.items())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("[")
-        for i in range(0, len(items), _PAIR_BATCH):
-            if i:
-                fh.write(", ")
-            fh.write(json.dumps(items[i:i + _PAIR_BATCH])[1:-1])
-        fh.write("]")
+def _untimed(report: dict) -> dict:
+    return {k: v for k, v in report.items() if k != "timing"}
 
 
 class CheckError(Exception):
@@ -263,27 +264,20 @@ def _owned(directory: Path, name: re.Pattern) -> list[tuple[int, Path]]:
     return [(int(m.group(1)), p) for m, p in matches if m]
 
 
-def load_wave_records(out_dir, page_size: int = 4096) -> list[WaveRecord]:
-    """Rebuild WaveRecords from the pid<N>/wave<N> directories of an unpack."""
+def load_wave_records(out_dir) -> list[WaveRecord]:
+    """Rebuild an unpack's waves but their page dumps, which verify never reads."""
     out = Path(out_dir)
     records = []
     for pid, pid_dir in _owned(out, _PID_NAME):
         for wave_index, wdir in _owned(pid_dir, _WAVE_NAME):
             instrs = _read_instrs(wdir / "instrs.jsonl", pid)
-            shadow = _read_pairs(wdir / "shadow.json")
-            twrites = _read_pairs(wdir / "twrites.json")
-            dumps = {}
-            touched = {v - v % page_size for v in list(shadow) + list(twrites)}
-            for expected in sorted(touched):
-                page_file = wdir / "pages" / f"{expected:08x}.bin"
-                if not page_file.exists():
-                    raise CheckError(f"missing page dump {page_file}")
-                dumps[expected] = page_file.read_bytes()
             if not instrs:
                 raise CheckError(f"{wdir}: wave with no instructions")
             records.append(WaveRecord(
                 pid=pid, wave_index=wave_index, instrs=instrs,
-                shadow_pairs=shadow, twrite_pairs=twrites, page_dumps=dumps))
+                shadow_pairs=_read_pairs(wdir / "shadow.json"),
+                twrite_pairs=_read_pairs(wdir / "twrites.json"),
+                page_dumps={}))
     return records
 
 
@@ -312,53 +306,58 @@ def _read_pairs(path: Path) -> dict[int, int]:
             pairs = {v: b for v, b in json.load(fh)}
             if not set(map(type, pairs)) <= {int}:  # bools are not addresses
                 raise TypeError("addresses must be integers")
+            if not set(map(type, pairs.values())) <= {int}:
+                raise TypeError("bytes must be integers")
         except (ValueError, TypeError) as exc:
             raise CheckError(f"{path}: {exc}") from None
     return pairs
 
 
 def check_outputs(trace: SystemTrace, out_dir) -> tuple[list[str], list[Violation]]:
-    """Recompute the analysis and diff it against stored artifacts."""
+    """Re-analyze the trace and compare every stored file with its rendering.
+
+    The page size is the stored report's. Stored waves are parsed and
+    verified only to explain a difference; without one they are the
+    recomputed waves, with the recomputed violations.
+    """
     out = Path(out_dir)
-    issues: list[str] = []
-    result = analyze(trace)
-    stored = load_wave_records(out, trace.page_size)
-
-    recomputed = {(r.pid, r.wave_index): r for r in result.collect.records}
-    stored_map = {(r.pid, r.wave_index): r for r in stored}
-    for key in sorted(set(recomputed) | set(stored_map)):
-        a, b = recomputed.get(key), stored_map.get(key)
-        if a is None:
-            issues.append(f"wave {key}: present on disk, not in recomputation")
-            continue
-        if b is None:
-            issues.append(f"wave {key}: missing from disk")
-            continue
-        if [r.seq for r in a.instrs] != [r.seq for r in b.instrs]:
-            issues.append(f"wave {key}: instruction list differs")
-        if a.shadow_pairs != b.shadow_pairs:
-            issues.append(f"wave {key}: shadow memory differs")
-        if a.twrite_pairs != b.twrite_pairs:
-            issues.append(f"wave {key}: tainted writes differ")
-        for base, data in a.page_dumps.items():
-            if b.page_dumps.get(base) != data:
-                issues.append(f"wave {key}: page {base:#x} differs")
-
     report_file = out / "report.json"
-    if report_file.exists():
-        try:
-            stored_report = json.loads(report_file.read_bytes())
-        except ValueError as exc:
-            raise CheckError(f"{report_file}: {exc}") from None
-        fresh = dict(result.report)
-        fresh.pop("timing", None)
+    try:
+        stored_report = json.loads(report_file.read_bytes())
         if isinstance(stored_report, dict):
             stored_report.pop("timing", None)
-        if stored_report != fresh:
-            issues.append("report.json aggregates differ from recomputation")
-    else:
-        issues.append("report.json missing")
+            trace = replace(trace, page_size=check_page_size(
+                stored_report.get("page_size", trace.page_size)))
+    except FileNotFoundError:
+        stored_report = None
+    except ValueError as exc:
+        raise CheckError(f"{report_file}: {exc}") from None
+    result = analyze(trace)
 
-    violations = verify_wave_semantics(stored, result.collect.mtrace,
-                                       trace.image_event())
-    return issues, violations
+    issues: list[str] = []
+    rendered: set[str] = set()
+    for rel, chunks in _render(result):
+        rendered.add(rel)
+        try:
+            with open(out / rel, "rb") as fh:
+                if (not all(fh.read(len(c)) == c for c in chunks)
+                        or fh.read(1)):
+                    issues.append(f"{rel}: differs")
+        except FileNotFoundError:
+            issues.append(f"{rel}: missing")
+    known = rendered | {rel.rpartition("/")[0] for rel in rendered}
+    for _, pid_dir in _owned(out, _PID_NAME):
+        for _, wdir in _owned(pid_dir, _WAVE_NAME):
+            for path in [wdir, *sorted(wdir.rglob("*"))]:
+                if (rel := path.relative_to(out).as_posix()) not in known:
+                    issues.append(f"{rel}: not rendered")
+
+    if stored_report is None:
+        issues.append("report.json missing")
+    elif stored_report != _untimed(result.report):
+        issues.append("report.json aggregates differ from recomputation")
+
+    if not issues:
+        return issues, result.violations
+    return issues, verify_wave_semantics(
+        load_wave_records(out), result.collect.mtrace, trace.image_event())

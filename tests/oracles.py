@@ -63,6 +63,7 @@ class PeSection:
 class ParsedPe:
     machine: int
     magic: int
+    size_of_code: int
     entry: int
     image_base: int
     section_align: int
@@ -112,6 +113,7 @@ def read_pe(data: bytes) -> ParsedPe:
     (magic,) = struct.unpack_from("<H", data, opt)
     if magic != 0x10B:
         raise ValueError(f"not PE32 (magic {magic:#x})")
+    (size_of_code,) = struct.unpack_from("<I", data, opt + 4)
     (entry,) = struct.unpack_from("<I", data, opt + 16)
     image_base, section_align, file_align = struct.unpack_from(
         "<III", data, opt + 28)
@@ -122,8 +124,9 @@ def read_pe(data: bytes) -> ParsedPe:
     import_dir = struct.unpack_from("<II", data, dirs + 8)
     iat_dir = struct.unpack_from("<II", data, dirs + 8 * 12)
 
-    pe = ParsedPe(machine=machine, magic=magic, entry=entry,
-                  image_base=image_base, section_align=section_align,
+    pe = ParsedPe(machine=machine, magic=magic, size_of_code=size_of_code,
+                  entry=entry, image_base=image_base,
+                  section_align=section_align,
                   file_align=file_align, size_of_image=size_of_image,
                   subsystem=subsystem, num_dirs=num_dirs,
                   import_dir=import_dir, iat_dir=iat_dir)

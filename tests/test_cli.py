@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveunpack.cli import main
-from waveunpack.scenario_gen import generate_scenario
+from waveunpack.scenario_gen import SCENARIO_IDS, generate_scenario
 from waveunpack.trace_model import MemLoc, SystemTrace, TraceEvent, write_trace
 
 
@@ -300,7 +304,8 @@ class TestCheck:
         page = next((out / "pid100" / "wave0" / "pages").glob("*.bin"))
         page.unlink()
         assert main(["check", str(trace), str(out)]) == 1
-        assert "missing page dump" in capsys.readouterr().err
+        assert (f"integrity: pid100/wave0/pages/{page.name}: missing\n"
+                in capsys.readouterr().out)
 
     def test_tampered_page_reported(self, d1_files, tmp_path, capsys):
         trace, _ = d1_files
@@ -311,10 +316,29 @@ class TestCheck:
         assert main(["check", str(trace), str(out)]) == 1
         assert "differs" in capsys.readouterr().out
 
+    def test_page_size_comes_from_report(self, d1_files, tmp_path, capsys):
+        trace, _ = d1_files
+        out = tmp_path / "out"
+        assert main(["unpack", str(trace), "-o", str(out),
+                     "--page-size", "8192"]) == 0
+        assert json.loads((out / "report.json").read_text())["page_size"] \
+            == 8192
+        pages = sorted(p.name for p in out.glob("pid100/wave0/pages/*"))
+        assert pages and all(int(p[:-4], 16) % 8192 == 0 for p in pages)
+        capsys.readouterr()
+        assert main(["check", str(trace), str(out)]) == 0
+        assert "OK, 0 violations" in capsys.readouterr().out
+
 
 def _write_lines(path, keep):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(keep(lines)))
+
+
+def _set_page_size(out, size):
+    report = out / "report.json"
+    report.write_text(json.dumps(dict(json.loads(report.read_text()),
+                                      page_size=size)))
 
 
 def _drop_vaddr(lines):
@@ -341,12 +365,22 @@ _DAMAGED_TREES = {
         lambda out: (out / "pid100" / "wave0" / "shadow.json").write_text(
             '[["0x5000000", 144]]'),
         1, "wave0/shadow.json: addresses must be integers"),
+    "shadow-float-byte": (
+        lambda out: (out / "pid100" / "wave0" / "shadow.json").write_text(
+            '[[4476928, 10000.0]]'),
+        1, "wave0/shadow.json: bytes must be integers"),
     "foreign-pid-directory": (
         lambda out: (out / "pidx" / "wave0").mkdir(parents=True),
         0, "OK, 0 violations"),
     "missing-directory": (
         lambda out: shutil.rmtree(out),
         1, "No such file or directory"),
+    "report-page-size-not-power-of-two": (
+        lambda out: _set_page_size(out, 12288),
+        1, "report.json: page size 12288 is not a power of two"),
+    "report-page-size-string": (
+        lambda out: _set_page_size(out, "4096"),
+        1, "report.json: page size '4096' is not a power of two"),
 }
 
 
@@ -364,6 +398,70 @@ class TestCheckDamagedTree:
         captured = capsys.readouterr()
         assert text in (captured.err if code else captured.out)
         assert "Traceback" not in captured.err
+
+
+@pytest.fixture(scope="module")
+def scenario_trees(tmp_path_factory):
+    """(trace, unpacked tree) of every scenario, unpacked once."""
+    root = tmp_path_factory.mktemp("scenario-trees")
+    trees = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for sid in SCENARIO_IDS:
+            trace, out = root / f"{sid}.jsonl", root / sid
+            assert main(["gen", sid, "--seed", "3", "-o", str(trace),
+                         "--truth", str(root / f"{sid}.json")]) == 0
+            assert main(["unpack", str(trace), "-o", str(out)]) == 0
+            trees[sid] = trace, out
+    return trees
+
+
+def _damage(out: Path, draw):
+    """Apply one drawn damage to the files and wave directories of a tree."""
+    files = sorted(p for p in out.rglob("*")
+                   if p.is_file() and p.name != "report.json")
+    kind = draw(st.sampled_from(["flip", "truncate", "delete", "append",
+                                 "stray", "empty-wave"]))
+    if kind in ("flip", "truncate"):
+        path = draw(st.sampled_from([p for p in files if p.stat().st_size]))
+        data = bytearray(path.read_bytes())
+        at = draw(st.integers(0, len(data) - 1))
+        if kind == "flip":
+            data[at] ^= draw(st.integers(1, 255))
+        else:
+            del data[at:]
+        path.write_bytes(bytes(data))
+    elif kind == "delete":
+        draw(st.sampled_from(files)).unlink()
+    elif kind == "append":
+        path = draw(st.sampled_from(files))
+        with open(path, "ab") as fh:
+            fh.write(draw(st.binary(min_size=1, max_size=8)))
+    elif kind == "stray":
+        dirs = sorted({p.parent for p in files if p.parent != out})
+        (draw(st.sampled_from(dirs)) / "stray").write_bytes(b"")
+    else:
+        pid = draw(st.sampled_from(
+            sorted(p.name for p in out.glob("pid*")) + ["pid999"]))
+        taken = {p.name for p in out.glob(f"{pid}/wave*")}
+        wave = next(f"wave{n}" for n in range(99) if f"wave{n}" not in taken)
+        (out / pid / wave).mkdir(parents=True)
+
+
+class TestCheckDamagedFile:
+    @settings(max_examples=60, deadline=None)
+    @given(sid=st.sampled_from(SCENARIO_IDS), data=st.data())
+    def test_damaged_tree_never_checks_clean(self, scenario_trees,
+                                             tmp_path_factory, sid, data):
+        trace, clean = scenario_trees[sid]
+        out = tmp_path_factory.mktemp("damaged") / "out"
+        shutil.copytree(clean, out)
+        _damage(out, data.draw)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main(["check", str(trace), str(out)])
+        assert code in (1, 2), stdout.getvalue()
+        assert "Traceback" not in stderr.getvalue()
 
 
 def _write_mismatched_site_trace(path):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import read_pe
 from waveunpack.api_monitor import ApiCallRecord
@@ -256,6 +258,32 @@ class TestEmit:
         table = build_import_table(g, [])
         with pytest.raises(EmitError):
             layout_sections(g, table, [b"\x00" * 10])
+
+
+@st.composite
+def _layouts(draw):
+    """Disjoint page-aligned spans from low pages up, gaps of 0-3 pages.
+
+    The import table takes page 0x1000 or the first gap above it, so it
+    lands before, between or after the spans.
+    """
+    base = draw(st.integers(1, 3)) * PAGE
+    spans = []
+    for _ in range(draw(st.integers(1, 4))):
+        end = base + draw(st.integers(1, 3)) * PAGE
+        spans.append((base, end))
+        base = end + draw(st.integers(0, 3)) * PAGE
+    return spans
+
+
+class TestSizeOfCode:
+    @settings(max_examples=200, deadline=None)
+    @example(spans=[(0x1000, 0x3000), (0x8000, 0x9000)])
+    @given(spans=_layouts())
+    def test_counts_every_interval_and_no_idata(self, spans):
+        wave = _wave([InstrRef(1, 1, spans[0][0], b"\x90")])
+        pe = read_pe(build_artifact(wave, _group(*spans), []).data)
+        assert pe.size_of_code == sum(end - base for base, end in spans)
 
 
 class TestSidecar:

@@ -7,7 +7,7 @@ import pytest
 
 from waveunpack.pipeline import (
     _instr_line,
-    _write_pairs,
+    _pair_chunks,
     analyze,
     check_outputs,
     write_outputs,
@@ -114,11 +114,10 @@ class TestReport:
 
 
 @pytest.mark.parametrize("n", [0, 1, 1024, 1025, 2500])
-def test_pair_file_matches_json_dump(tmp_path, n):
+def test_pair_file_matches_json_dump(n):
     # batched encoding must give the bytes of one json.dump of the list
     pairs = {0x400000 + 7 * i: (i * 31) % 256 for i in range(n, 0, -1)}
-    _write_pairs(tmp_path / "p.json", pairs)
-    assert (tmp_path / "p.json").read_text() == \
+    assert b"".join(_pair_chunks(pairs)).decode() == \
         json.dumps([[v, b] for v, b in sorted(pairs.items())])
 
 
