@@ -135,18 +135,26 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _print_integrity(issues: list[str]) -> None:
+    for issue in issues:
+        print(f"integrity: {issue}")
+
+
 def cmd_check(args) -> int:
     try:
         trace = parse_trace(Path(args.trace).read_bytes())
         issues, violations = pipeline.check_outputs(trace, args.out)
-    except (OSError, TraceFormatError, pipeline.CheckError) as exc:
+    except pipeline.CheckError as exc:
+        _print_integrity(exc.issues)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (OSError, TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _PIPELINE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for issue in issues:
-        print(f"integrity: {issue}")
+    _print_integrity(issues)
     for violation in violations:
         print(f"violation: {violation}")
     if violations:

@@ -134,12 +134,10 @@ def _place_idata(size: int, intervals: list[Interval]) -> int:
 
 def build_import_table(group: MemoryGroup,
                        calls: list[ApiCallRecord]) -> ImportTable:
-    """One IAT slot per unique function called from inside the group."""
+    """One IAT slot per unique function of `calls`, the group's calls."""
     table = ImportTable()
     order: dict[str, list[str]] = {}
     for call in sorted(calls, key=lambda c: c.caller_seq):
-        if not group.contains(call.caller_vaddr):
-            continue
         fns = order.setdefault(call.module_name, [])
         if call.function_name not in fns:
             fns.append(call.function_name)

@@ -152,11 +152,12 @@ _OWNED_NAME = re.compile(rf"api_calls\.jsonl|report\.json|{_PID_NAME.pattern}")
 _BATCH = 1024
 
 
-def _render(result: PipelineResult):
-    """Yield (relative path, byte chunks) of each output file but report.json.
+def _render(result: PipelineResult, report: dict | None):
+    """Yield (relative path, byte chunks) of each output file.
 
     The one place that names and encodes the tree's files: write_outputs
     writes these chunks, check_outputs compares them. Chunks encode lazily.
+    `report` is the report.json document; None leaves the file out.
     """
     yield "api_calls.jsonl", _batched(
         json.dumps(rec.log_obj(), sort_keys=True) + "\n"
@@ -183,6 +184,8 @@ def _render(result: PipelineResult):
         for gi, art in enumerate(wave_out.artifacts):
             yield f"{wdir}/group{gi}.exe", (art.data,)
             yield f"{wdir}/group{gi}.xrefs.json", (_json_doc(art.sidecar),)
+    if report is not None:
+        yield "report.json", (_json_doc(report),)
 
 
 def _json_doc(obj) -> bytes:
@@ -228,13 +231,11 @@ def write_outputs(result: PipelineResult, out_dir, no_timing: bool = False,
     out.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".unpack-", dir=out))
     try:
-        for rel, chunks in _render(result):
+        for rel, chunks in _render(result, None if report_path else report):
             path = stage / rel
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(path, "wb") as fh:
                 fh.writelines(chunks)
-        if not report_path:
-            (stage / "report.json").write_bytes(_json_doc(report))
         old = stage / ".old"
         old.mkdir()
         for entry in out.iterdir():
@@ -255,7 +256,14 @@ def _untimed(report: dict) -> dict:
 
 
 class CheckError(Exception):
-    """Stored pipeline output disagrees with the trace or itself."""
+    """Stored pipeline output disagrees with the trace or itself.
+
+    `issues` are the integrity issues check_outputs found before the error.
+    """
+
+    def __init__(self, message: str, issues: list[str] | None = None):
+        super().__init__(message)
+        self.issues = issues or []
 
 
 def _owned(directory: Path, name: re.Pattern) -> list[tuple[int, Path]]:
@@ -316,16 +324,15 @@ def _read_pairs(path: Path) -> dict[int, int]:
 def check_outputs(trace: SystemTrace, out_dir) -> tuple[list[str], list[Violation]]:
     """Re-analyze the trace and compare every stored file with its rendering.
 
-    The page size is the stored report's. Stored waves are parsed and
-    verified only to explain a difference; without one they are the
-    recomputed waves, with the recomputed violations.
+    The page size and the timing are the stored report's. Stored waves are
+    parsed and verified only to explain a difference; without one they are
+    the recomputed waves, with the recomputed violations.
     """
     out = Path(out_dir)
     report_file = out / "report.json"
     try:
         stored_report = json.loads(report_file.read_bytes())
         if isinstance(stored_report, dict):
-            stored_report.pop("timing", None)
             trace = replace(trace, page_size=check_page_size(
                 stored_report.get("page_size", trace.page_size)))
     except FileNotFoundError:
@@ -333,10 +340,13 @@ def check_outputs(trace: SystemTrace, out_dir) -> tuple[list[str], list[Violatio
     except ValueError as exc:
         raise CheckError(f"{report_file}: {exc}") from None
     result = analyze(trace)
+    report = _untimed(result.report)
+    if isinstance(stored_report, dict) and "timing" in stored_report:
+        report["timing"] = stored_report["timing"]
 
     issues: list[str] = []
     rendered: set[str] = set()
-    for rel, chunks in _render(result):
+    for rel, chunks in _render(result, report):
         rendered.add(rel)
         try:
             with open(out / rel, "rb") as fh:
@@ -352,12 +362,11 @@ def check_outputs(trace: SystemTrace, out_dir) -> tuple[list[str], list[Violatio
                 if (rel := path.relative_to(out).as_posix()) not in known:
                     issues.append(f"{rel}: not rendered")
 
-    if stored_report is None:
-        issues.append("report.json missing")
-    elif stored_report != _untimed(result.report):
-        issues.append("report.json aggregates differ from recomputation")
-
     if not issues:
         return issues, result.violations
+    try:
+        records = load_wave_records(out)
+    except (OSError, CheckError) as exc:
+        raise CheckError(str(exc), issues) from None
     return issues, verify_wave_semantics(
-        load_wave_records(out), result.collect.mtrace, trace.image_event())
+        records, result.collect.mtrace, trace.image_event())

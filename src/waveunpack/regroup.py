@@ -1,7 +1,6 @@
 """Group a wave's page dumps into self-contained memory regions.
 
-Pages holding executed instructions seed intervals that grow over adjacent
-dumped pages; remaining dumped pages coalesce into data-only intervals.
+A wave's intervals are the maximal runs of adjacent pages it dumped.
 Intervals referencing each other (speculative scan) merge transitively into
 groups, one future PE file per group. Groups without any executed
 instruction are dropped and reported.
@@ -20,7 +19,6 @@ from .wave_collector import WaveRecord
 class Interval:
     """Maximal run of dumped pages, page-aligned and disjoint per wave."""
 
-    pid: int
     base: int
     end: int  # exclusive
     bytes: bytes
@@ -35,56 +33,11 @@ class Interval:
 
 @dataclass
 class MemoryGroup:
-    wave_id: tuple[int, int]
     intervals: list[Interval]
     xrefs: set[tuple[int, int]] = field(default_factory=set)
 
     def contains(self, vaddr: int) -> bool:
         return any(iv.contains(vaddr) for iv in self.intervals)
-
-
-def executed_pages(wave: WaveRecord, page_size: int) -> set[int]:
-    """Page bases covering every byte of every executed instruction."""
-    pages = set()
-    for vaddr, length in {(ref.vaddr, len(ref.bytes)) for ref in wave.instrs}:
-        first = vaddr - vaddr % page_size
-        last = vaddr + length - 1
-        last -= last % page_size
-        pages.update(range(first, last + page_size, page_size))
-    return pages
-
-
-def _coalesce(pid, pages, page_dumps, page_size) -> list[Interval]:
-    intervals = []
-    run: list[int] = []
-    for p in sorted(pages):
-        if run and p != run[-1] + page_size:
-            intervals.append(run)
-            run = []
-        run.append(p)
-    if run:
-        intervals.append(run)
-    return [
-        Interval(pid=pid, base=r[0], end=r[-1] + page_size,
-                 bytes=b"".join(page_dumps[p] for p in r))
-        for r in intervals
-    ]
-
-
-def neighbor_closure(exec_pages: set[int], page_dumps: dict[int, bytes],
-                     page_size: int, pid: int = 0) -> list[Interval]:
-    """Grow executed pages over adjacent dumped pages until a fixed point."""
-    selected = set(exec_pages)
-    frontier = set(exec_pages)
-    while frontier:
-        nxt = set()
-        for p in frontier:
-            for q in (p - page_size, p + page_size):
-                if q in page_dumps and q not in selected:
-                    selected.add(q)
-                    nxt.add(q)
-        frontier = nxt
-    return _coalesce(pid, selected, page_dumps, page_size)
 
 
 def merge_groups(intervals: list[Interval],
@@ -126,11 +79,10 @@ def merge_groups(intervals: list[Interval],
         members.setdefault(find(i), []).append(iv)
     groups = []
     for root in sorted(members, key=lambda r: members[r][0].base):
-        group = MemoryGroup(wave_id=(0, 0),
-                            intervals=sorted(members[root], key=lambda iv: iv.base))
-        group.xrefs = {(s, t) for s, t, src in ref_owners
-                       if src is not None and find(src) == root}
-        groups.append(group)
+        groups.append(MemoryGroup(
+            intervals=sorted(members[root], key=lambda iv: iv.base),
+            xrefs={(s, t) for s, t, src in ref_owners
+                   if src is not None and find(src) == root}))
     return groups
 
 
@@ -139,7 +91,7 @@ class WaveGrouping:
     kept: list[MemoryGroup]
     dropped: list[MemoryGroup]
     refs: set[tuple[int, int]]
-    page_size: int = 4096
+    page_size: int
 
     @property
     def dropped_pages(self) -> list[int]:
@@ -151,27 +103,25 @@ class WaveGrouping:
 
 
 def group_wave(wave: WaveRecord, page_size: int) -> WaveGrouping:
-    """Full grouping pipeline for one wave."""
-    exec_pgs = executed_pages(wave, page_size)
-    exec_ivs = neighbor_closure(exec_pgs, wave.page_dumps, page_size, wave.pid)
-    taken = set()
-    for iv in exec_ivs:
-        taken.update(range(iv.base, iv.end, page_size))
-    rest = set(wave.page_dumps) - taken
-    data_ivs = _coalesce(wave.pid, rest, wave.page_dumps, page_size)
+    """Cut a wave's dumps into intervals, merge them, keep what executed."""
+    runs: list[list[int]] = []
+    for base in sorted(wave.page_dumps):
+        if runs and runs[-1][-1] + page_size == base:
+            runs[-1].append(base)
+        else:
+            runs.append([base])
+    intervals = [Interval(base=run[0], end=run[-1] + page_size,
+                          bytes=b"".join(wave.page_dumps[p] for p in run))
+                 for run in runs]
 
-    intervals = sorted(exec_ivs + data_ivs, key=lambda iv: iv.base)
     refs: set[tuple[int, int]] = set()
     for iv in intervals:
         candidates = [other.range for other in intervals if other is not iv]
         refs |= scan_refs(iv.bytes, iv.base, candidates)
 
-    groups = merge_groups(intervals, refs)
-    wave_id = (wave.pid, wave.wave_index)
     kept, dropped = [], []
     executed_addrs = {ref.vaddr for ref in wave.instrs}
-    for grp in groups:
-        grp.wave_id = wave_id
+    for grp in merge_groups(intervals, refs):
         executed = any(grp.contains(v) for v in executed_addrs)
         (kept if executed else dropped).append(grp)
     return WaveGrouping(kept=kept, dropped=dropped, refs=refs, page_size=page_size)

@@ -316,6 +316,39 @@ class TestCheck:
         assert main(["check", str(trace), str(out)]) == 1
         assert "differs" in capsys.readouterr().out
 
+    def test_report_compared_byte_for_byte(self, d1_files, tmp_path, capsys):
+        trace, _ = d1_files
+        out = tmp_path / "out"
+        main(["unpack", str(trace), "-o", str(out)])
+        with open(out / "report.json", "a") as fh:
+            fh.write("\n\n")
+        capsys.readouterr()
+        assert main(["check", str(trace), str(out)]) == 1
+        assert "integrity: report.json: differs\n" in capsys.readouterr().out
+
+    def test_missing_report_is_integrity_error(self, d1_files, tmp_path,
+                                               capsys):
+        trace, _ = d1_files
+        out = tmp_path / "out"
+        main(["unpack", str(trace), "-o", str(out)])
+        (out / "report.json").unlink()
+        capsys.readouterr()
+        assert main(["check", str(trace), str(out)]) == 1
+        assert "integrity: report.json: missing\n" in capsys.readouterr().out
+
+    def test_integrity_lines_precede_parse_error(self, d1_files, tmp_path,
+                                                 capsys):
+        trace, _ = d1_files
+        out = tmp_path / "out"
+        main(["unpack", str(trace), "-o", str(out)])
+        (out / "pid100" / "wave5").mkdir()
+        capsys.readouterr()
+        assert main(["check", str(trace), str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "integrity: pid100/wave5: not rendered\n"
+        assert captured.err.startswith("error: ")
+        assert "wave5/instrs.jsonl" in captured.err
+
     def test_page_size_comes_from_report(self, d1_files, tmp_path, capsys):
         trace, _ = d1_files
         out = tmp_path / "out"
@@ -402,7 +435,11 @@ class TestCheckDamagedTree:
 
 @pytest.fixture(scope="module")
 def scenario_trees(tmp_path_factory):
-    """(trace, unpacked tree) of every scenario, unpacked once."""
+    """(trace, untimed unpacked tree) of every scenario, unpacked once.
+
+    Untimed, so every byte of every file is compared: check carries a
+    stored timing over instead of comparing it.
+    """
     root = tmp_path_factory.mktemp("scenario-trees")
     trees = {}
     with contextlib.redirect_stdout(io.StringIO()):
@@ -410,15 +447,15 @@ def scenario_trees(tmp_path_factory):
             trace, out = root / f"{sid}.jsonl", root / sid
             assert main(["gen", sid, "--seed", "3", "-o", str(trace),
                          "--truth", str(root / f"{sid}.json")]) == 0
-            assert main(["unpack", str(trace), "-o", str(out)]) == 0
+            assert main(["unpack", str(trace), "-o", str(out),
+                         "--no-timing"]) == 0
             trees[sid] = trace, out
     return trees
 
 
 def _damage(out: Path, draw):
     """Apply one drawn damage to the files and wave directories of a tree."""
-    files = sorted(p for p in out.rglob("*")
-                   if p.is_file() and p.name != "report.json")
+    files = sorted(p for p in out.rglob("*") if p.is_file())
     kind = draw(st.sampled_from(["flip", "truncate", "delete", "append",
                                  "stray", "empty-wave"]))
     if kind in ("flip", "truncate"):
@@ -498,6 +535,126 @@ class TestPipelineErrors:
         err = capsys.readouterr().err
         assert "error: dump/trace mismatch at 0x5007001" in err
         assert "Traceback" not in err
+
+
+def _write_undumped_tail_trace(path):
+    """A one-page image whose last two bytes start a 5-byte `e9` jmp.
+
+    The jmp runs from the image (case 4: partly shadowed, nothing freshly
+    written), so its tail's page never enters the shadow and is not dumped.
+    """
+    image = bytearray(4096)
+    image[0] = 0x90
+    image[-2:] = b"\xe9\x00"
+    trace = SystemTrace(events=[
+        TraceEvent(kind="image", pid=1, base=0x400000, gbase=0x1000,
+                   name="t.exe", bytes=bytes(image)),
+        TraceEvent(kind="instr", pid=1, seq=1, tid=1, vaddr=0x400000,
+                   gaddr=0x1000, bytes=b"\x90"),
+        TraceEvent(kind="instr", pid=1, seq=2, tid=1, vaddr=0x400FFE,
+                   gaddr=0x1FFE, bytes=b"\xe9\x00\x00\x00\x00"),
+        TraceEvent(kind="procexit", pid=1),
+    ])
+    path.write_bytes(write_trace(trace))
+
+
+class TestUndumpedInstructionTail:
+    @pytest.mark.parametrize("argv, code", [
+        (["unpack", "{trace}", "-o", "{out}"], 0),
+        (["unpack", "--strict-semantics", "{trace}", "-o", "{out}"], 2),
+        (["check", "{trace}", "{out}"], 2)])
+    def test_exit_codes(self, argv, code, tmp_path, capsys):
+        trace, out = tmp_path / "t.jsonl", tmp_path / "out"
+        _write_undumped_tail_trace(trace)
+        assert main(["unpack", str(trace), "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main([a.format(trace=trace, out=out) for a in argv]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "byte at 0x401000 missing from shadow" in captured.out
+        if argv[0] == "unpack":
+            assert "pe_files=1" in captured.out
+
+
+@pytest.fixture(scope="module")
+def scenario_trace_lines():
+    """The JSON-Lines text of every scenario at seed 3, split into lines."""
+    return {sid: write_trace(generate_scenario(sid, 3)[0]).decode()
+            .splitlines(keepends=True) for sid in SCENARIO_IDS}
+
+
+# values of another JSON type than any field holds; no large power of two,
+# which a page size would accept
+_RETYPED = [None, "x", 1.5, True, [], {}, [1], {"v": 1}]
+
+
+def _int_paths(obj, path=()):
+    """Paths to the integer leaves of a parsed JSON value."""
+    if type(obj) is int:
+        yield path
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _int_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _int_paths(value, path + (i,))
+
+
+def _mutate(lines: list[str], draw) -> list[str]:
+    """Apply one drawn mutation to one or two lines of a trace."""
+    lines = list(lines)
+    kind = draw(st.sampled_from(["delete", "retype", "duplicate", "nudge",
+                                 "truncate", "swap"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+        return lines
+    if kind == "truncate":
+        lines[i] = lines[i][:draw(st.integers(0, len(lines[i]) - 1))]
+        return lines
+    obj = json.loads(lines[i])
+    key = draw(st.sampled_from(sorted(obj)))
+    if kind == "delete":
+        del obj[key]
+    elif kind == "retype":
+        obj[key] = draw(st.sampled_from(_RETYPED))
+    elif kind == "duplicate":
+        # the key again, holding another field's value; the last one wins
+        other = json.dumps(obj[draw(st.sampled_from(sorted(obj)))])
+        lines[i] = lines[i].rstrip("\n")[:-1] + f', "{key}": {other}}}\n'
+        return lines
+    else:
+        paths = list(_int_paths(obj))
+        if not paths:
+            return lines
+        *parents, leaf = draw(st.sampled_from(paths))
+        holder = obj
+        for step in parents:
+            holder = holder[step]
+        holder[leaf] += draw(st.sampled_from([-3, -2, -1, 1, 2, 3,
+                                              -(1 << 32), 1 << 32]))
+    lines[i] = json.dumps(obj) + "\n"
+    return lines
+
+
+class TestTraceFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(sid=st.sampled_from(SCENARIO_IDS), data=st.data())
+    def test_mutated_trace_exits_cleanly(self, scenario_trace_lines,
+                                         tmp_path_factory, sid, data):
+        root = tmp_path_factory.mktemp("fuzz")
+        trace, out = root / "t.jsonl", str(root / "out")
+        trace.write_text("".join(_mutate(scenario_trace_lines[sid],
+                                         data.draw)))
+        for argv in (["unpack", str(trace), "-o", out],
+                     ["check", str(trace), out]):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv[0], stderr.getvalue())
+            assert "Traceback" not in stderr.getvalue()
 
 
 class TestDecode:

@@ -35,10 +35,9 @@ def _call(seq, vaddr, length, fn, dll="kernel32", btype="call",
 
 
 def _group(*spans, data=None):
-    ivs = [Interval(pid=1, base=b, end=e,
-                    bytes=data.get(b) if data else bytes(e - b))
+    ivs = [Interval(base=b, end=e, bytes=data.get(b) if data else bytes(e - b))
            for b, e in spans]
-    return MemoryGroup(wave_id=(1, 0), intervals=ivs)
+    return MemoryGroup(intervals=ivs)
 
 
 def _wave(instrs):
@@ -61,8 +60,11 @@ class TestImportTable:
 
     def test_calls_outside_group_filtered(self):
         group = _group((0x5300000, 0x5301000))
-        calls = [_call(1, 0x9999999, 6, "GetModuleHandleA")]
-        assert build_import_table(group, calls).unique_count == 0
+        wave = _wave([InstrRef(1, 1, 0x5300000, b"\x90")])
+        calls = [_call(2, 0x9999999, 6, "GetModuleHandleA")]
+        art = build_artifact(wave, group, calls)
+        assert art.import_table.unique_count == 0
+        assert [e for e in art.sidecar if e["kind"] == "api"] == []
 
     def test_empty_table_is_null_terminator(self):
         table = build_import_table(_group((0x5300000, 0x5301000)), [])

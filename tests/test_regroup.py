@@ -2,13 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from waveunpack.regroup import (
-    Interval,
-    executed_pages,
-    group_wave,
-    merge_groups,
-    neighbor_closure,
-)
+from waveunpack.regroup import Interval, group_wave, merge_groups
 from waveunpack.wave_collector import InstrRef, WaveRecord
 
 PAGE = 4096
@@ -24,46 +18,9 @@ def _ref(seq, vaddr, code=b"\x90"):
     return InstrRef(seq=seq, pid=1, vaddr=vaddr, bytes=code)
 
 
-class TestExecutedPages:
-    def test_single_page(self):
-        wave = _wave([_ref(1, 0x5300010), _ref(2, 0x5300020)], {})
-        assert executed_pages(wave, PAGE) == {0x5300000}
-
-    def test_straddling_instruction(self):
-        wave = _wave([_ref(1, 0x5300FFE, b"\x68\x01\x02\x03\x04")], {})
-        assert executed_pages(wave, PAGE) == {0x5300000, 0x5301000}
-
-    def test_two_pages(self):
-        wave = _wave([_ref(1, 0x5300010), _ref(2, 0x5301010)], {})
-        assert executed_pages(wave, PAGE) == {0x5300000, 0x5301000}
-
-
-class TestNeighborClosure:
-    def test_absorbs_contiguous_dumps(self):
-        dumps = {p: bytes(PAGE) for p in
-                 (0x5300000, 0x5301000, 0x5302000, 0x5303000)}
-        ivs = neighbor_closure({0x5300000, 0x5301000}, dumps, PAGE, pid=1)
-        assert [(iv.base, iv.end) for iv in ivs] == [(0x5300000, 0x5304000)]
-
-    def test_isolated_page(self):
-        ivs = neighbor_closure({0x5300000}, {0x5300000: bytes(PAGE)}, PAGE, 1)
-        assert [(iv.base, iv.end) for iv in ivs] == [(0x5300000, 0x5301000)]
-
-    def test_gap_stops_absorption(self):
-        dumps = {0x5300000: bytes(PAGE), 0x5305000: bytes(PAGE)}
-        ivs = neighbor_closure({0x5300000}, dumps, PAGE, 1)
-        assert [(iv.base, iv.end) for iv in ivs] == [(0x5300000, 0x5301000)]
-
-    def test_interval_bytes_concatenate_pages(self):
-        dumps = {0x5300000: b"A" * PAGE, 0x5301000: b"B" * PAGE}
-        ivs = neighbor_closure({0x5300000}, dumps, PAGE, 1)
-        assert ivs[0].bytes == b"A" * PAGE + b"B" * PAGE
-
-
 class TestMergeGroups:
     def _iv(self, base, end, data=None):
-        return Interval(pid=1, base=base, end=end,
-                        bytes=data or bytes(end - base))
+        return Interval(base=base, end=end, bytes=data or bytes(end - base))
 
     def test_connected_by_reference(self):
         a = self._iv(0x5300000, 0x5304000)
@@ -127,7 +84,37 @@ def _fig4_wave():
     return _wave(instrs, dumps, shadow=shadow)
 
 
+def _spans(groups):
+    return [[(iv.base, iv.end) for iv in grp.intervals] for grp in groups]
+
+
 class TestGroupWave:
+    def test_absorbs_contiguous_dumps(self):
+        dumps = {p: bytes(PAGE) for p in
+                 (0x5300000, 0x5301000, 0x5302000, 0x5303000)}
+        grouping = group_wave(_wave([_ref(1, 0x5300010)], dumps), PAGE)
+        assert _spans(grouping.kept) == [[(0x5300000, 0x5304000)]]
+        assert grouping.dropped == []
+
+    def test_gap_splits_intervals(self):
+        dumps = {0x5305000: bytes(PAGE), 0x5300000: bytes(PAGE)}
+        grouping = group_wave(_wave([_ref(1, 0x5300010)], dumps), PAGE)
+        assert _spans(grouping.kept) == [[(0x5300000, 0x5301000)]]
+        assert _spans(grouping.dropped) == [[(0x5305000, 0x5306000)]]
+
+    def test_interval_bytes_concatenate_pages(self):
+        dumps = {0x5301000: b"B" * PAGE, 0x5300000: b"A" * PAGE}
+        grouping = group_wave(_wave([_ref(1, 0x5300010)], dumps), PAGE)
+        assert grouping.kept[0].intervals[0].bytes == \
+            b"A" * PAGE + b"B" * PAGE
+
+    def test_instruction_tail_on_undumped_page(self):
+        # a jmp whose last three bytes lie on a page the wave never dumped
+        wave = _wave([_ref(1, 0x5300FFE, b"\xe9\x00\x00\x00\x00")],
+                     {0x5300000: bytes(PAGE)})
+        grouping = group_wave(wave, PAGE)
+        assert _spans(grouping.kept) == [[(0x5300000, 0x5301000)]]
+
     def test_fig4_grouping(self):
         grouping = group_wave(_fig4_wave(), PAGE)
         assert len(grouping.kept) == 1
