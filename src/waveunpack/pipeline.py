@@ -16,6 +16,7 @@ from .pe_builder import PEArtifact, build_artifact
 from .regroup import WaveGrouping, group_wave
 from .trace_model import SystemTrace, check_page_size
 from .wave_collector import (
+    ByteMap,
     CollectResult,
     InstrRef,
     Violation,
@@ -204,16 +205,18 @@ def _instr_line(ref: InstrRef) -> str:
         ref.bytes.hex(), ref.seq, ref.vaddr)
 
 
-def _pair_chunks(pairs: dict[int, int]):
-    """Sorted [v, b] pairs as one JSON array, the bytes json.dumps gives.
+def _pair_chunks(pairs: ByteMap):
+    """[v, b] pairs in address order as one JSON array, the bytes
+    json.dumps(sorted(pairs.items())) gives.
 
     Batches keep the text held small; json.dumps runs the C encoder.
     """
-    items = sorted(pairs.items())
+    items = iter(pairs.items())
+    sep = ""
     yield b"["
-    for i in range(0, len(items), _BATCH):
-        text = json.dumps(items[i:i + _BATCH])[1:-1]
-        yield (", " + text if i else text).encode()
+    while batch := list(islice(items, _BATCH)):
+        yield (sep + json.dumps(batch)[1:-1]).encode()
+        sep = ", "
     yield b"]"
 
 
@@ -308,14 +311,16 @@ def _read_instrs(path: Path, pid: int) -> list[InstrRef]:
     return instrs
 
 
-def _read_pairs(path: Path) -> dict[int, int]:
+def _read_pairs(path: Path) -> ByteMap:
+    pairs = ByteMap()
     with open(path, encoding="utf-8") as fh:
         try:
-            pairs = {v: b for v, b in json.load(fh)}
-            if not set(map(type, pairs)) <= {int}:  # bools are not addresses
-                raise TypeError("addresses must be integers")
-            if not set(map(type, pairs.values())) <= {int}:
-                raise TypeError("bytes must be integers")
+            for v, b in json.load(fh):
+                if type(v) is not int:  # bools are not addresses
+                    raise TypeError("addresses must be integers")
+                if type(b) is not int:
+                    raise TypeError("bytes must be integers")
+                pairs[v] = b  # a byte outside 0-255 raises ValueError
         except (ValueError, TypeError) as exc:
             raise CheckError(f"{path}: {exc}") from None
     return pairs

@@ -24,6 +24,7 @@ from typing import NamedTuple
 FORMAT_VERSION = 1
 DEFAULT_PAGE_SIZE = 4096
 MIN_PAGE_SIZE = 0x1000  # PE sections are laid out at 0x1000 alignment
+MAX_PAGE_SIZE = 0x400000  # the largest x86-32 page
 X86_MAX_INSTR_LEN = 15
 
 _U32 = 1 << 32
@@ -40,10 +41,13 @@ class TraceFormatError(ValueError):
 
 
 def check_page_size(size) -> int:
-    """Return `size` if it is a power of two >= MIN_PAGE_SIZE, else raise."""
-    if type(size) is not int or size < MIN_PAGE_SIZE or size & (size - 1):
+    """Return `size` if it is a power of two from MIN_PAGE_SIZE to
+    MAX_PAGE_SIZE, else raise."""
+    if (type(size) is not int or not MIN_PAGE_SIZE <= size <= MAX_PAGE_SIZE
+            or size & (size - 1)):
         raise ValueError(
-            f"page size {size!r} is not a power of two >= {MIN_PAGE_SIZE:#x}")
+            f"page size {size!r} is not a power of two from {MIN_PAGE_SIZE:#x} "
+            f"to {MAX_PAGE_SIZE:#x}")
     return size
 
 
@@ -109,9 +113,6 @@ class SystemTrace:
             if ev.kind == "image":
                 return ev
         return None
-
-    def instructions(self):
-        return (ev for ev in self.events if ev.kind == "instr")
 
 
 _VALID_KINDS = ("image", "module", "instr", "procexit")

@@ -5,11 +5,18 @@ instruction is classified against the process's shadow memory and tainted
 writes; executing freshly written memory (a new region, or overwritten
 code) closes the current wave and starts the next one. Closed waves are
 logged together with page dumps of their shadow memory and tainted writes.
+
+Shadow memory and the tainted-write snapshot of a closed wave are ByteMaps,
+kept per CHUNK_SIZE chunk of address space rather than per byte; only the
+taint engine's live tainted writes are a dict. Wave-set violations of one
+wave's shadow memory are listed in ascending address order.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, MutableMapping
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 from .taint_engine import (
@@ -20,6 +27,165 @@ from .taint_engine import (
     update,
 )
 from .trace_model import ObservedMemory, SystemTrace, TraceEvent
+
+# bytes per ByteMap chunk: a power of two that divides every page size
+CHUNK_SIZE = 0x100
+_CHUNK_SHIFT = CHUNK_SIZE.bit_length() - 1
+_CHUNK_MASK = CHUNK_SIZE - 1
+_PRESENT = b"\x01" * CHUNK_SIZE
+
+
+class ByteMap(MutableMapping):
+    """A map from address to byte value, stored per CHUNK_SIZE-aligned chunk.
+
+    A chunk holding any address keeps one value bytearray and one presence
+    bytearray (1 where the address is mapped), so storing a byte string,
+    testing a span and reading runs back are slice operations. Otherwise it
+    is a dict of int to byte, iterated in ascending address order; a value
+    outside 0-255 raises ValueError.
+    """
+
+    __slots__ = ("_vals", "_have", "_len")
+
+    def __init__(self, pairs=()):
+        # chunk number -> values, and -> presence; no chunk is all absent
+        self._vals: dict[int, bytearray] = {}
+        self._have: dict[int, bytearray] = {}
+        self._len = 0
+        if isinstance(pairs, ByteMap):
+            self._vals = {k: vals.copy() for k, vals in pairs._vals.items()}
+            self._have = {k: have.copy() for k, have in pairs._have.items()}
+            self._len = pairs._len
+        else:
+            self.update(pairs)
+
+    def copy(self) -> ByteMap:
+        return ByteMap(self)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __contains__(self, vaddr) -> bool:
+        have = self._have.get(vaddr >> _CHUNK_SHIFT)
+        return have is not None and have[vaddr & _CHUNK_MASK] == 1
+
+    def get(self, vaddr: int, default=None):
+        k = vaddr >> _CHUNK_SHIFT
+        have = self._have.get(k)
+        if have is None or not have[vaddr & _CHUNK_MASK]:
+            return default
+        return self._vals[k][vaddr & _CHUNK_MASK]
+
+    def __getitem__(self, vaddr: int) -> int:
+        byte = self.get(vaddr)
+        if byte is None:
+            raise KeyError(vaddr)
+        return byte
+
+    def __setitem__(self, vaddr: int, byte: int):
+        k, off = vaddr >> _CHUNK_SHIFT, vaddr & _CHUNK_MASK
+        have = self._have.get(k)
+        if have is None:
+            vals = bytearray(CHUNK_SIZE)
+            vals[off] = byte  # a bad value raises before the chunk exists
+            self._vals[k] = vals
+            have = self._have[k] = bytearray(CHUNK_SIZE)
+        else:
+            self._vals[k][off] = byte
+        if not have[off]:
+            have[off] = 1
+            self._len += 1
+
+    def __delitem__(self, vaddr: int):
+        k, off = vaddr >> _CHUNK_SHIFT, vaddr & _CHUNK_MASK
+        have = self._have.get(k)
+        if have is None or not have[off]:
+            raise KeyError(vaddr)
+        have[off] = 0
+        self._len -= 1
+        if have.find(1) < 0:
+            del self._have[k], self._vals[k]
+
+    def __iter__(self):
+        for start, data in self.runs():
+            yield from range(start, start + len(data))
+
+    def items(self):
+        return _ByteMapItems(self)
+
+    def __repr__(self) -> str:
+        return f"ByteMap({dict(self.items())!r})"
+
+    def store(self, vaddr: int, data: bytes) -> None:
+        """Map vaddr + i to data[i] for every i."""
+        pos, n = 0, len(data)
+        while pos < n:
+            k, off = (vaddr + pos) >> _CHUNK_SHIFT, (vaddr + pos) & _CHUNK_MASK
+            end = min(CHUNK_SIZE, off + n - pos)
+            have = self._have.get(k)
+            if have is None:
+                have = self._have[k] = bytearray(CHUNK_SIZE)
+                self._vals[k] = bytearray(CHUNK_SIZE)
+            self._len += end - off - have.count(1, off, end)
+            have[off:end] = _PRESENT[off:end]
+            self._vals[k][off:end] = data[pos:pos + end - off]
+            pos += end - off
+
+    def isdisjoint(self, span: range) -> bool:
+        """True iff no address of `span`, a range of step 1, is mapped.
+
+        When the first address is mapped, as it is for most instructions
+        classify_case tests, this costs one chunk lookup and one index.
+        """
+        lo, hi = span.start, span.stop
+        have = self._have.get(lo >> _CHUNK_SHIFT)
+        if have is not None and lo < hi and have[lo & _CHUNK_MASK]:
+            return False
+        while lo < hi:
+            k, off = lo >> _CHUNK_SHIFT, lo & _CHUNK_MASK
+            end = min(CHUNK_SIZE, off + hi - lo)
+            have = self._have.get(k)
+            if have is not None and have.find(1, off, end) >= 0:
+                return False
+            lo += end - off
+        return True
+
+    def runs(self):
+        """Yield the maximal runs of mapped addresses as ascending
+        (start address, bytes) pairs."""
+        parts: list[bytearray] = []
+        start = run_end = 0
+        for k in sorted(self._have):
+            have, vals = self._have[k], self._vals[k]
+            base = k << _CHUNK_SHIFT
+            off = have.find(1)
+            while off >= 0:
+                end = have.find(0, off)
+                if end < 0:
+                    end = CHUNK_SIZE
+                if parts and base + off != run_end:
+                    yield start, b"".join(parts)
+                    parts = []
+                if not parts:
+                    start = base + off
+                parts.append(vals[off:end])
+                run_end = base + end
+                off = have.find(1, end)
+        if parts:
+            yield start, b"".join(parts)
+
+    def page_bases(self, page_size: int) -> set[int]:
+        """Bases of the pages holding a mapped address; `page_size` is a
+        multiple of CHUNK_SIZE."""
+        return {(k << _CHUNK_SHIFT) // page_size * page_size for k in self._have}
+
+
+class _ByteMapItems(ItemsView):
+    """(address, byte) pairs in ascending address order, a run at a time."""
+
+    def __iter__(self):
+        return chain.from_iterable(zip(range(start, start + len(data)), data)
+                                   for start, data in self._mapping.runs())
 
 
 class InstrRef(NamedTuple):
@@ -39,7 +205,7 @@ class ProcessState:
     """Per-process collection state: one active wave at any moment."""
 
     pid: int
-    shadow: dict[int, int] = field(default_factory=dict)
+    shadow: ByteMap = field(default_factory=ByteMap)
     twrites: dict[int, int] = field(default_factory=dict)
     cur_instrs: list[InstrRef] = field(default_factory=list)
     wave_index: int = 0
@@ -52,8 +218,8 @@ class WaveRecord:
     pid: int
     wave_index: int
     instrs: list[InstrRef]
-    shadow_pairs: dict[int, int]
-    twrite_pairs: dict[int, int]
+    shadow_pairs: ByteMap
+    twrite_pairs: ByteMap
     page_dumps: dict[int, bytes]
 
     @property
@@ -100,7 +266,7 @@ def classify_case(ev: TraceEvent, state: ProcessState) -> int:
     tw = state.twrites
     span = ev.vspan()
     if tw.keys().isdisjoint(span):  # nothing freshly written: case 1 or 4
-        return 1 if shadow.keys().isdisjoint(span) else 4
+        return 1 if shadow.isdisjoint(span) else 4
     in_shadow = [v in shadow for v in span]
     in_tw = [v in tw for v in span]
     if not any(in_shadow) and not any(in_tw):
@@ -113,11 +279,10 @@ def classify_case(ev: TraceEvent, state: ProcessState) -> int:
     return 4
 
 
-def _dump_pages(state: ProcessState, observed: ObservedMemory,
-                page_size: int) -> dict[int, bytes]:
-    pages = {v - v % page_size for v in state.shadow}
-    pages.update(v - v % page_size for v in state.twrites)
-    return {p: observed.page(state.pid, p) for p in sorted(pages)}
+def _dump_pages(pid: int, shadow: ByteMap, twrites: ByteMap,
+                observed: ObservedMemory, page_size: int) -> dict[int, bytes]:
+    pages = shadow.page_bases(page_size) | twrites.page_bases(page_size)
+    return {p: observed.page(pid, p) for p in sorted(pages)}
 
 
 def dump_wave(state: ProcessState, trigger: InstrRef | None,
@@ -130,6 +295,7 @@ def dump_wave(state: ProcessState, trigger: InstrRef | None,
     becomes the new wave's entry point. The record takes over the state's
     shadow and instruction list; the state gets new ones.
     """
+    twrites = ByteMap(state.twrites)
     record = None
     if state.cur_instrs:
         record = WaveRecord(
@@ -137,11 +303,12 @@ def dump_wave(state: ProcessState, trigger: InstrRef | None,
             wave_index=state.wave_index,
             instrs=state.cur_instrs,
             shadow_pairs=state.shadow,
-            twrite_pairs=dict(state.twrites),
-            page_dumps=_dump_pages(state, observed, page_size),
+            twrite_pairs=twrites,
+            page_dumps=_dump_pages(state.pid, state.shadow, twrites,
+                                   observed, page_size),
         )
         state.wave_index += 1
-    state.shadow = dict(state.twrites)
+    state.shadow = twrites.copy()
     # cleared in place: the taint engine holds a reference to this dict
     state.twrites.clear()
     state.cur_instrs = [trigger] if trigger is not None else []
@@ -183,8 +350,8 @@ def collect_waves(trace: SystemTrace, monitor=None,
             observed.record_event(ev)
             pset = init_taint(ev)
             st = state_for(ev.pid)
-            st.shadow = dict(zip(range(ev.base, ev.base + len(ev.bytes)),
-                                 ev.bytes))
+            st.shadow = ByteMap()
+            st.shadow.store(ev.base, ev.bytes)
             image_seen = True
             continue
         if kind == "module":
@@ -209,7 +376,7 @@ def collect_waves(trace: SystemTrace, monitor=None,
             mtrace.append(ref)
             case = classify_case(ev, st)
             if case == 1:
-                st.shadow.update(zip(ev.vspan(), ev.bytes))
+                st.shadow.store(ev.vaddr, ev.bytes)
                 st.cur_instrs.append(ref)
             elif case in (2, 3):
                 close(st, ref)
@@ -239,6 +406,8 @@ def verify_wave_semantics(records: list[WaveRecord], mtrace: list[InstrRef],
        writes of a wave that started earlier, or from an instruction the
        wave itself executed (case-1 arrivals add their own bytes);
     4. every instruction's bytes are present in its wave's shadow memory.
+
+    Violations of one wave's bullet 3 are listed in address order.
     """
     out: list[Violation] = []
 
@@ -276,14 +445,18 @@ def verify_wave_semantics(records: list[WaveRecord], mtrace: list[InstrRef],
         own_pairs = set()
         for vaddr, code in {(ref.vaddr, ref.bytes) for ref in rec.instrs}:
             own_pairs.update(zip(range(vaddr, vaddr + len(code)), code))
-        for pair in rec.shadow_pairs.items():
-            off = pair[0] - image_base
-            if (0 <= off < len(image) and image[off] == pair[1]
-                    or pair in earlier_tw or pair in own_pairs):
-                continue
-            out.append(Violation(3, rec.pid, rec.wave_index,
-                                 f"shadow pair ({pair[0]:#x}, {pair[1]:#04x}) has no "
-                                 f"legitimate provenance"))
+        for start, data in rec.shadow_pairs.runs():
+            off = start - image_base
+            if 0 <= off and image[off:off + len(data)] == data:
+                continue  # the whole run is image bytes
+            for pair in zip(range(start, start + len(data)), data):
+                off = pair[0] - image_base
+                if (0 <= off < len(image) and image[off] == pair[1]
+                        or pair in earlier_tw or pair in own_pairs):
+                    continue
+                out.append(Violation(3, rec.pid, rec.wave_index,
+                                     f"shadow pair ({pair[0]:#x}, {pair[1]:#04x}) has no "
+                                     f"legitimate provenance"))
 
     for rec in records:
         shadow = rec.shadow_pairs

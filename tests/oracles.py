@@ -64,6 +64,7 @@ class ParsedPe:
     machine: int
     magic: int
     size_of_code: int
+    size_of_init_data: int
     entry: int
     image_base: int
     section_align: int
@@ -113,7 +114,7 @@ def read_pe(data: bytes) -> ParsedPe:
     (magic,) = struct.unpack_from("<H", data, opt)
     if magic != 0x10B:
         raise ValueError(f"not PE32 (magic {magic:#x})")
-    (size_of_code,) = struct.unpack_from("<I", data, opt + 4)
+    size_of_code, size_of_init_data = struct.unpack_from("<II", data, opt + 4)
     (entry,) = struct.unpack_from("<I", data, opt + 16)
     image_base, section_align, file_align = struct.unpack_from(
         "<III", data, opt + 28)
@@ -125,6 +126,7 @@ def read_pe(data: bytes) -> ParsedPe:
     iat_dir = struct.unpack_from("<II", data, dirs + 8 * 12)
 
     pe = ParsedPe(machine=machine, magic=magic, size_of_code=size_of_code,
+                  size_of_init_data=size_of_init_data,
                   entry=entry, image_base=image_base,
                   section_align=section_align,
                   file_align=file_align, size_of_image=size_of_image,

@@ -26,6 +26,7 @@ from waveunpack.scenario_gen import (
 from waveunpack.taint_engine import init_taint, is_tainted_instruction, update
 from waveunpack.trace_model import TraceEvent
 from waveunpack.wave_collector import (
+    ByteMap,
     InstrRef,
     WaveRecord,
     collect_waves,
@@ -83,8 +84,8 @@ def test_criterion_2_wave_semantics(full_sweep):
 
     def rec(pid, widx, instrs, shadow, twrites):
         return WaveRecord(pid=pid, wave_index=widx, instrs=instrs,
-                          shadow_pairs=shadow, twrite_pairs=twrites,
-                          page_dumps={})
+                          shadow_pairs=ByteMap(shadow),
+                          twrite_pairs=ByteMap(twrites), page_dumps={})
 
     r1 = InstrRef(1, 1, 0x400000, b"\x90")
     stray = InstrRef(9, 1, 0x400001, b"\x90")
@@ -128,7 +129,7 @@ def test_criterion_3_taint_oracle_equivalence():
         state = naive_init(image)
         tw_prod: dict = {}
         tw_ref: dict = {}
-        for ev in trace.instructions():
+        for ev in [ev for ev in trace.events if ev.kind == "instr"]:
             assert is_tainted_instruction(ev, pset) == naive_tainted(ev, state)
             update(ev, pset, tw_prod)
             state, tw_ref = naive_update(ev, state, tw_ref)
@@ -145,7 +146,7 @@ def test_criterion_4_benign_writer_wave_captured():
         pset = init_taint(trace.image_event())
         tw: dict = {}
         writers = []
-        for ev in trace.instructions():
+        for ev in [ev for ev in trace.events if ev.kind == "instr"]:
             if ev.pid == TARGET_PID and any(w.space_pid == TARGET_PID
                                             for w in ev.writes):
                 assert not is_tainted_instruction(ev, pset)
@@ -188,7 +189,8 @@ def test_criterion_6_page_grouping_worked_example():
     for p in tainted:
         shadow.setdefault(p, 0)
     wave = WaveRecord(pid=1, wave_index=0, instrs=instrs,
-                      shadow_pairs=shadow, twrite_pairs={}, page_dumps=dumps)
+                      shadow_pairs=ByteMap(shadow), twrite_pairs=ByteMap(),
+                      page_dumps=dumps)
 
     grouping = group_wave(wave, page)
     assert len(grouping.kept) == 1
@@ -243,6 +245,21 @@ def test_criterion_7_pe_validity(pe_sample):
     assert checked and patched_sites
     _verdict(7, f"{checked} PE files reparsed by the independent reader; "
                 f"{patched_sites} patched sites resolve to the observed API")
+
+
+def test_pe_header_sizes_and_directories(pe_sample):
+    # every emitted PE: SizeOfCode counts the .wseg sections, the import
+    # table is the initialized data, and its directories lie inside it
+    for sid, seed, _, art in pe_sample:
+        pe = read_pe(art.data)
+        idata = next(s for s in pe.sections if s.name == ".idata")
+        wsegs = [s for s in pe.sections if s.name.startswith(".wseg")]
+        assert len(wsegs) == len(pe.sections) - 1, (sid, seed)
+        assert pe.size_of_code == sum(s.vsize for s in wsegs), (sid, seed)
+        assert pe.size_of_init_data == idata.vsize, (sid, seed)
+        for rva, size in (pe.import_dir, pe.iat_dir):
+            assert idata.vaddr <= rva <= rva + size <= idata.vaddr + idata.vsize, \
+                (sid, seed, rva, size)
 
 
 def test_criterion_8_patch_rules(full_sweep):

@@ -100,7 +100,21 @@ class TestUnpack:
         assert "line 1: page size 0 is not a power of two" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("size", ["100", "0", "12288"])
+    @pytest.mark.parametrize("size", [1 << 23, 1 << 34])
+    def test_oversized_header_page_size_exits_1(self, d1_files, tmp_path,
+                                                capsys, size):
+        # a page size is allocated per touched page: it is capped, not tried
+        trace, _ = d1_files
+        lines = trace.read_text().splitlines(keepends=True)
+        lines[0] = json.dumps({"format": 1, "page_size": size}) + "\n"
+        trace.write_text("".join(lines))
+        assert main(["unpack", str(trace), "-o", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert (f"line 1: page size {size} is not a power of two from 0x1000 "
+                f"to 0x400000") in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("size", ["100", "0", "12288", "8388608"])
     def test_bad_page_size_option_exits_1(self, d1_files, tmp_path, capsys,
                                           size):
         trace, _ = d1_files
@@ -398,6 +412,10 @@ _DAMAGED_TREES = {
         lambda out: (out / "pid100" / "wave0" / "shadow.json").write_text(
             '[["0x5000000", 144]]'),
         1, "wave0/shadow.json: addresses must be integers"),
+    "shadow-byte-too-large": (
+        lambda out: (out / "pid100" / "wave0" / "shadow.json").write_text(
+            '[[4476928, 144], [4476929, 300]]'),
+        1, "wave0/shadow.json: byte must be in range(0, 256)"),
     "shadow-float-byte": (
         lambda out: (out / "pid100" / "wave0" / "shadow.json").write_text(
             '[[4476928, 10000.0]]'),
@@ -411,6 +429,10 @@ _DAMAGED_TREES = {
     "report-page-size-not-power-of-two": (
         lambda out: _set_page_size(out, 12288),
         1, "report.json: page size 12288 is not a power of two"),
+    "report-page-size-too-large": (
+        lambda out: _set_page_size(out, 1 << 34),
+        1, "report.json: page size 17179869184 is not a power of two from "
+           "0x1000 to 0x400000"),
     "report-page-size-string": (
         lambda out: _set_page_size(out, "4096"),
         1, "report.json: page size '4096' is not a power of two"),
@@ -583,8 +605,7 @@ def scenario_trace_lines():
             .splitlines(keepends=True) for sid in SCENARIO_IDS}
 
 
-# values of another JSON type than any field holds; no large power of two,
-# which a page size would accept
+# values of another JSON type than any field holds
 _RETYPED = [None, "x", 1.5, True, [], {}, [1], {"v": 1}]
 
 
@@ -604,7 +625,7 @@ def _mutate(lines: list[str], draw) -> list[str]:
     """Apply one drawn mutation to one or two lines of a trace."""
     lines = list(lines)
     kind = draw(st.sampled_from(["delete", "retype", "duplicate", "nudge",
-                                 "truncate", "swap"]))
+                                 "double", "truncate", "swap"]))
     i = draw(st.integers(0, len(lines) - 1))
     if kind == "swap":
         j = draw(st.integers(0, len(lines) - 1))
@@ -632,8 +653,11 @@ def _mutate(lines: list[str], draw) -> list[str]:
         holder = obj
         for step in parents:
             holder = holder[step]
-        holder[leaf] += draw(st.sampled_from([-3, -2, -1, 1, 2, 3,
-                                              -(1 << 32), 1 << 32]))
+        if kind == "double":
+            holder[leaf] <<= draw(st.integers(1, 40))
+        else:
+            holder[leaf] += draw(st.sampled_from([-3, -2, -1, 1, 2, 3,
+                                                  -(1 << 32), 1 << 32]))
     lines[i] = json.dumps(obj) + "\n"
     return lines
 

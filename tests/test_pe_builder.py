@@ -20,7 +20,7 @@ from waveunpack.pe_builder import (
     write_sidecar,
 )
 from waveunpack.regroup import Interval, MemoryGroup
-from waveunpack.wave_collector import InstrRef, WaveRecord
+from waveunpack.wave_collector import ByteMap, InstrRef, WaveRecord
 
 PAGE = 4096
 
@@ -41,8 +41,9 @@ def _group(*spans, data=None):
 
 
 def _wave(instrs):
-    return WaveRecord(pid=1, wave_index=0, instrs=instrs, shadow_pairs={},
-                      twrite_pairs={}, page_dumps={})
+    return WaveRecord(pid=1, wave_index=0, instrs=instrs,
+                      shadow_pairs=ByteMap(), twrite_pairs=ByteMap(),
+                      page_dumps={})
 
 
 class TestImportTable:

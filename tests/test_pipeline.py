@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import gc
 import json
+import random
+import struct
+import tracemalloc
 
 from oracles import read_pe
 import pytest
@@ -12,8 +16,18 @@ from waveunpack.pipeline import (
     check_outputs,
     write_outputs,
 )
-from waveunpack.scenario_gen import TARGET_PID, generate_scenario
-from waveunpack.wave_collector import InstrRef
+from waveunpack.scenario_gen import (
+    MALWARE_PID,
+    PAGE,
+    TARGET_PID,
+    TID,
+    Op,
+    TraceBuilder,
+    generate_scenario,
+    push_writer,
+)
+from waveunpack.trace_model import Branch
+from waveunpack.wave_collector import CHUNK_SIZE, ByteMap, InstrRef
 
 
 def _final_output(result):
@@ -113,12 +127,33 @@ class TestReport:
         assert "timing" not in on_disk
 
 
-@pytest.mark.parametrize("n", [0, 1, 1024, 1025, 2500])
+def _pairs(n: int, step: int) -> dict[int, int]:
+    base = 0x400000 - CHUNK_SIZE // 2
+    return {base + step * i: (i * 31) % 256 for i in range(n, 0, -1)}
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2500])
 def test_pair_file_matches_json_dump(n):
-    # batched encoding must give the bytes of one json.dump of the list
-    pairs = {0x400000 + 7 * i: (i * 31) % 256 for i in range(n, 0, -1)}
-    assert b"".join(_pair_chunks(pairs)).decode() == \
-        json.dumps([[v, b] for v, b in sorted(pairs.items())])
+    # batched encoding must give the bytes of one json.dumps of the sorted
+    # pairs, here one run per pair
+    pairs = _pairs(n, 7)
+    assert b"".join(_pair_chunks(ByteMap(pairs))) == \
+        json.dumps(sorted(pairs.items())).encode()
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2500])
+def test_pair_file_of_one_run_matches_json_dump(n):
+    pairs = _pairs(n, 1)  # one run across chunks
+    assert b"".join(_pair_chunks(ByteMap(pairs))) == \
+        json.dumps(sorted(pairs.items())).encode()
+
+
+def test_pair_file_of_gapped_runs_matches_json_dump():
+    pairs = ByteMap()
+    for start in (0, 0x3FF, CHUNK_SIZE * 5 - 3, 0xFFFFFFF0):
+        pairs.store(start, bytes((start + i) % 251 for i in range(0x300)))
+    assert b"".join(_pair_chunks(pairs)) == \
+        json.dumps(sorted(pairs.items())).encode()
 
 
 @pytest.mark.parametrize("seq, vaddr, code", [
@@ -151,3 +186,46 @@ class TestCheckOutputs:
         issues, violations = check_outputs(trace, tmp_path / "o")
         assert any("shadow" in i for i in issues)
         assert violations  # tampered byte also breaks provenance checks
+
+
+def _big_image_trace(pages: int):
+    """A random image of `pages` pages whose stub pushes a few nops into a
+    generated page and jumps there: two waves, the first the whole image."""
+    rng = random.Random(5)
+    tb = TraceBuilder()
+    base = 0x400000
+    image = tb.image_region(MALWARE_PID, base, pages * PAGE)
+    gen = tb.region(rng, [MALWARE_PID])
+    entry = gen.addr(MALWARE_PID)
+    stub = push_writer(gen, MALWARE_PID, 0, b"\x90" * 16)
+    code = b"".join(op.code for op in stub)
+    jmp = b"\xe9" + struct.pack("<i", entry - (base + len(code)) - 5)
+    content = bytearray(rng.randbytes(pages * PAGE))
+    content[:len(code) + len(jmp)] = code + jmp
+    tb.emit_image(image, bytes(content), "big.exe")
+    tb.run_plan(MALWARE_PID, TID, image, 0, stub)
+    tb.instr(MALWARE_PID, TID, base + len(code), image.g + len(code), jmp,
+             branch=Branch(entry, "jmp"))
+    tb.run_plan(MALWARE_PID, TID, gen, 0, [Op(code=b"\x90")] * 16)
+    tb.procexit(MALWARE_PID)
+    return tb.build()
+
+
+def test_shadow_memory_is_not_held_per_byte(tmp_path):
+    # a 128 KiB image held as a per-byte dict costs about 10 MB after
+    # analyze and as much again to render; per chunk, under 1 MB each
+    trace = _big_image_trace(32)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = analyze(trace)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_outputs(result, tmp_path / "o", no_timing=True)
+        write_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert result.report["summary"]["waves"] == 2 and not result.violations
+    assert held < 3_000_000
+    assert write_peak < 3_000_000

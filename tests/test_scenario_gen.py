@@ -52,7 +52,7 @@ def test_traces_are_serializable_and_valid(sid):
     blob = write_trace(trace)
     assert parse_trace(blob) == trace
     assert write_trace(parse_trace(blob)) == blob
-    first_instr = next(trace.instructions())
+    first_instr = [ev for ev in trace.events if ev.kind == "instr"][0]
     image = trace.image_event()
     assert first_instr.pid == image.pid
     assert first_instr.vaddr == image.base  # entry point opens the trace
@@ -86,7 +86,7 @@ def test_c4_payload_writers_are_untainted():
     pset = init_taint(trace.image_event())
     tw: dict = {}
     writer_seqs = []
-    for ev in trace.instructions():
+    for ev in [ev for ev in trace.events if ev.kind == "instr"]:
         writes_target_space = any(w.space_pid == TARGET_PID
                                   for w in ev.writes)
         if writes_target_space and ev.pid == TARGET_PID:
@@ -106,7 +106,8 @@ def test_c4_payload_writers_are_untainted():
 def test_benign_background_present_and_unattributed():
     for sid in SCENARIO_IDS:
         trace, truth = generate_scenario(sid, 0)
-        benign_instrs = [ev for ev in trace.instructions() if ev.pid == 300]
+        benign_instrs = [ev for ev in trace.events
+                         if ev.kind == "instr" and ev.pid == 300]
         benign_calls = [ev for ev in benign_instrs if ev.branch]
         assert benign_instrs and benign_calls
         res = analyze(trace)

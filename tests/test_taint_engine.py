@@ -143,7 +143,7 @@ def test_oracle_equivalence_on_micro_traces(micro_trace):
         tw_prod: dict = {}
         tw_ref: dict = {}
         assert _naive_state_matches(pset, state)
-        for ev in trace.instructions():
+        for ev in [ev for ev in trace.events if ev.kind == "instr"]:
             assert is_tainted_instruction(ev, pset) == naive_tainted(ev, state)
             update(ev, pset, tw_prod)
             state, tw_ref = naive_update(ev, state, tw_ref)
@@ -158,6 +158,6 @@ def test_mtrace_is_order_preserving_subsequence():
     result = collect_waves(trace)
     seqs = [ref.seq for ref in result.mtrace]
     assert seqs == sorted(seqs)
-    all_seqs = {ev.seq for ev in trace.instructions()}
+    all_seqs = {ev.seq for ev in trace.events if ev.kind == "instr"}
     assert set(seqs) <= all_seqs
     assert len(seqs) < len(all_seqs)  # benign noise stays out

@@ -74,7 +74,7 @@ class TestParse:
         trace = SystemTrace(events=[_image()])
         parsed = parse_trace(write_trace(trace))
         assert len(parsed.events) == 1
-        assert sum(1 for _ in parsed.instructions()) == 0
+        assert [ev for ev in parsed.events if ev.kind == "instr"] == []
 
     def test_round_trip_on_generated_scenario(self):
         trace, _ = generate_scenario("d1", 5)
@@ -275,10 +275,16 @@ class TestObservedMemory:
         assert store.page(2, 0x7000)[-1] == 0xAB
         assert store.page(1, 0x7000) == bytes(4096)
 
-    @pytest.mark.parametrize("size", [0, 100, 0x800, 0x1800, 4096.0, True])
+    @pytest.mark.parametrize("size", [0, 100, 0x800, 0x1800, 4096.0, True,
+                                      0x800000, 1 << 34])
     def test_bad_page_size_rejected(self, size):
-        with pytest.raises(ValueError, match="power of two"):
+        with pytest.raises(ValueError, match="power of two from 0x1000 to "
+                                             "0x400000"):
             ObservedMemory(size)
+
+    @pytest.mark.parametrize("size", [0x1000, 0x400000])
+    def test_page_size_bounds_accepted(self, size):
+        assert ObservedMemory(size).page(1, size) == bytes(size)
 
 
 def _touched_pages(events, page=4096):

@@ -15,6 +15,8 @@ from waveunpack.scenario_gen import (
 )
 from waveunpack.trace_model import MemLoc, ObservedMemory, SystemTrace, TraceEvent
 from waveunpack.wave_collector import (
+    CHUNK_SIZE,
+    ByteMap,
     InstrRef,
     ProcessState,
     WaveRecord,
@@ -44,24 +46,24 @@ class TestClassifyCase:
         assert classify_case(_instr(vaddr=0x600000), state) == 2
 
     def test_overwritten_code_is_case3(self):
-        state = ProcessState(pid=1, shadow={0x600000: 0xCC},
+        state = ProcessState(pid=1, shadow=ByteMap({0x600000: 0xCC}),
                              twrites={0x600000: 0x90})
         assert classify_case(_instr(vaddr=0x600000, code=b"\x90"), state) == 3
 
     def test_consistent_shadow_is_case4(self):
-        state = ProcessState(pid=1, shadow={0x600000: 0x90})
+        state = ProcessState(pid=1, shadow=ByteMap({0x600000: 0x90}))
         assert classify_case(_instr(vaddr=0x600000), state) == 4
 
     def test_rewritten_with_same_bytes_is_case4(self):
-        state = ProcessState(pid=1, shadow={0x600000: 0x90},
+        state = ProcessState(pid=1, shadow=ByteMap({0x600000: 0x90}),
                              twrites={0x600000: 0x90})
         assert classify_case(_instr(vaddr=0x600000), state) == 4
 
     def test_span_straddling_fresh_write_is_case2(self):
         # last byte of the encoding was freshly generated
         state = ProcessState(pid=1,
-                             shadow={0x600000: 0xB8, 0x600001: 1, 0x600002: 2,
-                                     0x600003: 3},
+                             shadow=ByteMap({0x600000: 0xB8, 0x600001: 1,
+                                             0x600002: 2, 0x600003: 3}),
                              twrites={0x600004: 4})
         ev = _instr(vaddr=0x600000, code=b"\xb8\x01\x02\x03\x04")
         assert classify_case(ev, state) == 2
@@ -78,7 +80,7 @@ class TestDumpWave:
         assert first.wave_index == 0
 
     def test_rotation_and_trigger(self):
-        state = ProcessState(pid=1, shadow={0x400000: 0xCC},
+        state = ProcessState(pid=1, shadow=ByteMap({0x400000: 0xCC}),
                              twrites={0x600000: 0x90},
                              cur_instrs=[InstrRef(1, 1, 0x400000, b"\xcc")])
         observed = ObservedMemory()
@@ -100,7 +102,7 @@ class TestDumpWave:
 
     def test_record_unaffected_by_later_state_changes(self):
         # the record takes over the state's shadow and instruction list
-        state = ProcessState(pid=1, shadow={0x400000: 0xCC},
+        state = ProcessState(pid=1, shadow=ByteMap({0x400000: 0xCC}),
                              twrites={0x600000: 0x90},
                              cur_instrs=[InstrRef(1, 1, 0x400000, b"\xcc")])
         rec = dump_wave(state, InstrRef(2, 1, 0x600000, b"\x90"),
@@ -187,8 +189,8 @@ class TestCollectWaves:
 
 def _mk_record(pid, widx, instrs, shadow, twrites):
     return WaveRecord(pid=pid, wave_index=widx, instrs=instrs,
-                      shadow_pairs=shadow, twrite_pairs=twrites,
-                      page_dumps={})
+                      shadow_pairs=ByteMap(shadow),
+                      twrite_pairs=ByteMap(twrites), page_dumps={})
 
 
 class TestVerifySemantics:
@@ -244,6 +246,87 @@ class TestVerifySemantics:
         assert any(v.bullet == 1 for v in violations)
 
 
+# --- ByteMap against a dict model ---------------------------------------------
+
+# addresses near 0, across chunk boundaries and near 0xFFFFFFFF
+_MAP_ADDRS = st.one_of(
+    st.integers(0, 3 * CHUNK_SIZE),
+    st.integers(5 * CHUNK_SIZE - 20, 5 * CHUNK_SIZE + 20),
+    st.integers(0xFFFFFFFF - 2 * CHUNK_SIZE, 0xFFFFFFFF + 16),
+)
+
+_MAP_OPS = st.one_of(
+    st.tuples(st.just("store"), _MAP_ADDRS,
+              st.binary(min_size=0, max_size=2 * CHUNK_SIZE + 3)),
+    st.tuples(st.just("set"), _MAP_ADDRS, st.integers(0, 255)),
+    st.tuples(st.just("del"), _MAP_ADDRS),
+    st.tuples(st.just("query"), _MAP_ADDRS,
+              st.integers(0, 16) | st.integers(0, 2 * CHUNK_SIZE + 3)),
+)
+
+
+def _model_runs(model: dict[int, int]) -> list[tuple[int, bytes]]:
+    runs: list[tuple[int, bytearray]] = []
+    for v in sorted(model):
+        if runs and runs[-1][0] + len(runs[-1][1]) == v:
+            runs[-1][1].append(model[v])
+        else:
+            runs.append((v, bytearray([model[v]])))
+    return [(v, bytes(data)) for v, data in runs]
+
+
+class TestByteMap:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=st.lists(_MAP_OPS, max_size=25))
+    def test_matches_dict_model(self, ops):
+        bmap, model = ByteMap(), {}
+        for op, vaddr, *arg in ops:
+            if op == "store":
+                bmap.store(vaddr, arg[0])
+                model.update(zip(range(vaddr, vaddr + len(arg[0])), arg[0]))
+            elif op == "set":
+                bmap[vaddr] = arg[0]
+                model[vaddr] = arg[0]
+            elif op == "del":
+                if vaddr in model:
+                    del bmap[vaddr], model[vaddr]
+                else:
+                    with pytest.raises(KeyError):
+                        del bmap[vaddr]
+            else:
+                span = range(vaddr, vaddr + arg[0])
+                assert bmap.isdisjoint(span) == model.keys().isdisjoint(span)
+                assert (vaddr in bmap) == (vaddr in model)
+                assert bmap.get(vaddr) == model.get(vaddr)
+                assert bmap.get(vaddr, -1) == model.get(vaddr, -1)
+            assert len(bmap) == len(model)
+        assert bmap == model
+        assert list(bmap.items()) == sorted(model.items())
+        assert list(bmap) == sorted(model)
+        assert list(bmap.runs()) == _model_runs(model)
+        for page_size in (0x1000, 0x4000):
+            assert bmap.page_bases(page_size) == \
+                {v - v % page_size for v in model}
+        copy = bmap.copy()
+        assert copy == bmap and list(copy.runs()) == list(bmap.runs())
+
+    def test_copy_is_independent(self):
+        bmap = ByteMap({CHUNK_SIZE - 1: 1, CHUNK_SIZE: 2})
+        copy = bmap.copy()
+        copy.store(CHUNK_SIZE - 2, b"\x07\x08\x09")
+        del copy[CHUNK_SIZE]
+        assert bmap == {CHUNK_SIZE - 1: 1, CHUNK_SIZE: 2}
+        assert copy == {CHUNK_SIZE - 2: 7, CHUNK_SIZE - 1: 8}
+
+    @pytest.mark.parametrize("value", [-1, 256, 300])
+    def test_value_outside_a_byte_is_rejected(self, value):
+        bmap = ByteMap({0x400000: 1})
+        for vaddr in (0x400001, 0x800000):  # a chunk held and a new one
+            with pytest.raises(ValueError):
+                bmap[vaddr] = value
+        assert bmap == {0x400000: 1} and list(bmap.runs()) == [(0x400000, b"\x01")]
+
+
 # --- equivalence with the per-byte references in oracles.py ------------------
 
 _WINDOW = 0x600000, 24  # small address window, so spans and maps overlap
@@ -266,7 +349,7 @@ def classify_inputs(draw):
 
 def _copy_records(records: list[WaveRecord]) -> list[WaveRecord]:
     return [_mk_record(r.pid, r.wave_index, list(r.instrs),
-                       dict(r.shadow_pairs), dict(r.twrite_pairs))
+                       r.shadow_pairs, r.twrite_pairs)
             for r in records]
 
 
@@ -330,7 +413,7 @@ class TestReferenceEquivalence:
     @given(classify_inputs())
     def test_classify_case_matches_reference(self, inputs):
         shadow, twrites, vaddr, code = inputs
-        state = ProcessState(pid=1, shadow=shadow, twrites=twrites)
+        state = ProcessState(pid=1, shadow=ByteMap(shadow), twrites=twrites)
         ev = _instr(vaddr=vaddr, code=code)
         assert classify_case(ev, state) == reference_classify_case(ev, state)
 
