@@ -2,8 +2,10 @@
 
 A call is recorded when a branch instruction of the malware execution trace
 lands exactly on the start address of a function exported by a module
-loaded in that process. Return values are captured when the recorded
-return address executes next in the same thread.
+loaded in that process. The wave collector owns the monitor and stamps each
+call with the wave its caller joined, so a call is attributed when it is
+detected. Return values are captured when the recorded return address
+executes next in the same thread.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def detect_api_call(ev: TraceEvent, exports: ExportMap) -> ApiCallRecord | None:
 
 
 class ApiMonitor:
-    """Event-driven monitor sharing the wave collector's cursor."""
+    """Event-driven monitor fed by the wave collector's replay loop."""
 
     def __init__(self):
         self.exports = ExportMap()
@@ -124,10 +126,12 @@ class ApiMonitor:
             if ev.regvals and "eax" in ev.regvals:
                 rec.return_value = ev.regvals["eax"]
 
-    def on_malware_instr(self, ev: TraceEvent):
+    def on_malware_instr(self, ev: TraceEvent, wave_id: tuple[int, int]):
+        """Record a call made by `ev`, which belongs to wave `wave_id`."""
         rec = detect_api_call(ev, self.exports)
         if rec is None:
             return
+        rec.wave_id = wave_id
         self.records.append(rec)
         if rec.return_address is not None:
             key = (rec.pid, rec.tid, rec.return_address)
@@ -137,24 +141,10 @@ class ApiMonitor:
         self._pending = {k: v for k, v in self._pending.items() if k[0] != pid}
 
 
-class AttributionError(RuntimeError):
-    pass
-
-
 def attribute_calls(records: list[ApiCallRecord],
                     wave_records) -> dict[tuple[int, int], list[ApiCallRecord]]:
-    """Attach each call to the unique wave containing its caller."""
-    seq_to_wave: dict[int, tuple[int, int]] = {}
-    per_wave: dict[tuple[int, int], list[ApiCallRecord]] = {}
-    for rec in wave_records:
-        per_wave[(rec.pid, rec.wave_index)] = []
-        for ref in rec.instrs:
-            seq_to_wave[ref.seq] = (rec.pid, rec.wave_index)
+    """Group calls by their stamped wave; every wave gets a list."""
+    per_wave = {(rec.pid, rec.wave_index): [] for rec in wave_records}
     for call in records:
-        wave = seq_to_wave.get(call.caller_seq)
-        if wave is None:
-            raise AttributionError(
-                f"API call at seq {call.caller_seq} belongs to no wave")
-        call.wave_id = wave
-        per_wave[wave].append(call)
+        per_wave[call.wave_id].append(call)
     return per_wave

@@ -8,11 +8,9 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .api_monitor import AttributionError
 from .disasm import DecodeError, decode_one
 from .pe_builder import EmitError, PatchIntegrityError
 from .scenario_gen import UnknownScenarioError, generate_scenario
-from .taint_engine import MissingImageError
 from .trace_model import (
     TraceFormatError,
     check_page_size,
@@ -61,8 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # the trace parsed but the pipeline cannot make sense of it: exit 2
-_PIPELINE_ERRORS = (AttributionError, EmitError, MissingImageError,
-                    PatchIntegrityError)
+_PIPELINE_ERRORS = (EmitError, PatchIntegrityError)
 
 
 def cmd_unpack(args) -> int:

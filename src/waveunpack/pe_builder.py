@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .api_monitor import ApiCallRecord
 from .regroup import Interval, MemoryGroup
-from .wave_collector import WaveRecord
 
 PAGE = 0x1000
 FILE_ALIGN = 0x200
@@ -147,14 +146,6 @@ def build_import_table(group: MemoryGroup,
     table.placement_rva = _place_idata(len(table.blob), group.intervals)
     table._layout()
     return table
-
-
-def select_entry_point(wave: WaveRecord, group: MemoryGroup) -> int:
-    """Earliest-executed instruction address inside the group's intervals."""
-    for ref in wave.instrs:
-        if group.contains(ref.vaddr):
-            return ref.vaddr
-    raise EmitError(f"group at {group.intervals[0].base:#x} executed nothing")
 
 
 def patch_branches(group: MemoryGroup, calls: list[ApiCallRecord],
@@ -309,15 +300,15 @@ def emit_pe(sections: list[SectionSpec], table: ImportTable,
     return bytes(out)
 
 
-def build_artifact(wave: WaveRecord, group: MemoryGroup,
-                   calls: list[ApiCallRecord],
+def build_artifact(group: MemoryGroup, calls: list[ApiCallRecord],
                    patch: bool = True) -> PEArtifact:
-    """Run the full static stage for one memory group."""
+    """Run the full static stage for one kept memory group, entering it
+    at `group.entry`."""
     group_calls = [c for c in calls if group.contains(c.caller_vaddr)]
     table = build_import_table(group, group_calls)
-    entry = select_entry_point(wave, group)
     patched, api_entries = patch_branches(group, group_calls, table, enable=patch)
     sections = layout_sections(group, table, patched)
-    return PEArtifact(group=group, entry_rva=entry, import_table=table,
-                      data=emit_pe(sections, table, entry), sections=sections,
+    return PEArtifact(group=group, entry_rva=group.entry, import_table=table,
+                      data=emit_pe(sections, table, group.entry),
+                      sections=sections,
                       sidecar=write_sidecar(api_entries, group.xrefs))

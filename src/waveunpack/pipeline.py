@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
 
-from .api_monitor import ApiCallRecord, ApiMonitor, attribute_calls
+from .api_monitor import ApiCallRecord, attribute_calls
 from .pe_builder import PEArtifact, build_artifact
 from .regroup import WaveGrouping, group_wave
 from .trace_model import SystemTrace, check_page_size
@@ -36,7 +36,7 @@ class WaveOutput:
 
 @dataclass
 class PipelineResult:
-    trace: SystemTrace
+    page_size: int
     collect: CollectResult
     api_records: list[ApiCallRecord]
     per_wave_calls: dict[tuple[int, int], list[ApiCallRecord]]
@@ -54,23 +54,22 @@ def analyze(trace: SystemTrace, patch: bool = True,
             taint_log=None) -> PipelineResult:
     """Run taint, wave collection, attribution and PE reconstruction."""
     started = time.perf_counter()
-    monitor = ApiMonitor()
-    collect = collect_waves(trace, monitor=monitor, taint_log=taint_log)
-    per_wave = attribute_calls(monitor.records, collect.records)
+    collect = collect_waves(trace, taint_log=taint_log)
+    per_wave = attribute_calls(collect.calls, collect.records)
 
     outputs = []
     for rec in collect.records:
         grouping = group_wave(rec, trace.page_size)
         calls = per_wave[(rec.pid, rec.wave_index)]
-        artifacts = [build_artifact(rec, grp, calls, patch=patch)
+        artifacts = [build_artifact(grp, calls, patch=patch)
                      for grp in grouping.kept]
         outputs.append(WaveOutput(record=rec, grouping=grouping,
                                   artifacts=artifacts, calls=calls))
 
     violations = verify_wave_semantics(collect.records, collect.mtrace,
-                                       trace.image_event())
-    result = PipelineResult(trace=trace, collect=collect,
-                            api_records=monitor.records,
+                                       collect.image)
+    result = PipelineResult(page_size=trace.page_size, collect=collect,
+                            api_records=collect.calls,
                             per_wave_calls=per_wave, outputs=outputs,
                             violations=violations)
     result.report = build_report(result, time.perf_counter() - started)
@@ -125,7 +124,7 @@ def build_report(result: PipelineResult, elapsed: float | None = None) -> dict:
         }
 
     report = {
-        "page_size": result.trace.page_size,
+        "page_size": result.page_size,
         "summary": {
             "procs": len(procs),
             "waves": len(result.collect.records),
@@ -374,4 +373,4 @@ def check_outputs(trace: SystemTrace, out_dir) -> tuple[list[str], list[Violatio
     except (OSError, CheckError) as exc:
         raise CheckError(str(exc), issues) from None
     return issues, verify_wave_semantics(
-        records, result.collect.mtrace, trace.image_event())
+        records, result.collect.mtrace, result.collect.image)

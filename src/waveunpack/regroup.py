@@ -2,8 +2,8 @@
 
 A wave's intervals are the maximal runs of adjacent pages it dumped.
 Intervals referencing each other (speculative scan) merge transitively into
-groups, one future PE file per group. Groups without any executed
-instruction are dropped and reported.
+groups, one future PE file per group. A group's entry is the first address
+the wave executed inside it; groups without one are dropped and reported.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ class Interval:
 class MemoryGroup:
     intervals: list[Interval]
     xrefs: set[tuple[int, int]] = field(default_factory=set)
+    # first executed address inside the group; None if it executed nothing
+    entry: int | None = None
 
     def contains(self, vaddr: int) -> bool:
         return any(iv.contains(vaddr) for iv in self.intervals)
@@ -120,8 +122,9 @@ def group_wave(wave: WaveRecord, page_size: int) -> WaveGrouping:
         refs |= scan_refs(iv.bytes, iv.base, candidates)
 
     kept, dropped = [], []
-    executed_addrs = {ref.vaddr for ref in wave.instrs}
+    # distinct executed addresses in first-execution order
+    executed = dict.fromkeys(ref.vaddr for ref in wave.instrs)
     for grp in merge_groups(intervals, refs):
-        executed = any(grp.contains(v) for v in executed_addrs)
-        (kept if executed else dropped).append(grp)
+        grp.entry = next((v for v in executed if grp.contains(v)), None)
+        (dropped if grp.entry is None else kept).append(grp)
     return WaveGrouping(kept=kept, dropped=dropped, refs=refs, page_size=page_size)

@@ -385,8 +385,7 @@ def build_resolver(pid: int, region: Region, api: dict[str, int],
 
     gmh_form: 'ff15' calls through a planted slot (6 bytes, patchable);
     'ff95' goes register-relative through a slot the payload writes first.
-    final: ('petite', fn) push/ror/ret, ('ff25', fn) indirect jump, or
-    ('ff15', fn) indirect call.
+    final: ('petite', fn) push/ror/ret or ('ff25', fn) indirect jump.
     """
     slots: dict[int, bytes] = {}
     slot_fin_off = SLOTS_OFF + 4
@@ -425,17 +424,11 @@ def build_resolver(pid: int, region: Region, api: dict[str, int],
         plan.append(Op(_ror_eax(13), rregs=("eax",), wregs=("eax",)))
         plan.append(Op(RET, branch=Branch(target, "ret"), ret_next=True,
                        after=body()))
-    elif form == "ff25":
+    else:  # ff25
         slots[slot_fin_off] = _le(target)
         plan.append(Op(_jmp_mem(region.addr(pid, slot_fin_off)),
                        reads=region.locs(pid, slot_fin_off, _le(target)),
                        branch=Branch(target, "jmp"), after=body()))
-    else:
-        slots[slot_fin_off] = _le(target)
-        plan.append(Op(_call_mem(region.addr(pid, slot_fin_off)),
-                       reads=region.locs(pid, slot_fin_off, _le(target)),
-                       branch=Branch(target, "call"), ret_next=True,
-                       after=body()))
     if not exits:
         plan.append(Op(NOP, regvals={"eax": 1}))
         plan.append(Op(NOP))

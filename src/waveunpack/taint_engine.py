@@ -29,14 +29,8 @@ class PropagationSet:
         return not self.tainted_mem and not self.tainted_regs
 
 
-class MissingImageError(ValueError):
-    pass
-
-
-def init_taint(image_event: TraceEvent | None) -> PropagationSet:
+def init_taint(image_event: TraceEvent) -> PropagationSet:
     """Taint the whole loaded module, data and code sections alike."""
-    if image_event is None or image_event.kind != "image":
-        raise MissingImageError("missing image event")
     pset = PropagationSet()
     pset.tainted_mem.update(
         range(image_event.gbase, image_event.gbase + len(image_event.bytes)))

@@ -108,12 +108,6 @@ class SystemTrace:
     page_size: int = DEFAULT_PAGE_SIZE
     version: int = FORMAT_VERSION
 
-    def image_event(self) -> TraceEvent | None:
-        for ev in self.events:
-            if ev.kind == "image":
-                return ev
-        return None
-
 
 _VALID_KINDS = ("image", "module", "instr", "procexit")
 _REQUIRED_KEYS = {

@@ -5,6 +5,9 @@ instruction is classified against the process's shadow memory and tainted
 writes; executing freshly written memory (a new region, or overwritten
 code) closes the current wave and starts the next one. Closed waves are
 logged together with page dumps of their shadow memory and tainted writes.
+The same loop feeds the API monitor, which stamps each detected call with
+the wave its caller just joined: that wave's index moves only when the wave
+closes, so the stamp is final and attribution happens at detection.
 
 Shadow memory and the tainted-write snapshot of a closed wave are ByteMaps,
 kept per CHUNK_SIZE chunk of address space rather than per byte; only the
@@ -19,6 +22,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
 
+from .api_monitor import ApiCallRecord, ApiMonitor
 from .taint_engine import (
     PropagationSet,
     init_taint,
@@ -239,6 +243,8 @@ class WaveRecord:
 class CollectResult:
     mtrace: list[InstrRef]
     records: list[WaveRecord]  # in closing order
+    calls: list[ApiCallRecord]  # in detection order, each with its wave_id
+    image: TraceEvent | None  # None when the trace loads no image
 
 
 @dataclass(frozen=True)
@@ -315,22 +321,22 @@ def dump_wave(state: ProcessState, trigger: InstrRef | None,
     return record
 
 
-def collect_waves(trace: SystemTrace, monitor=None,
-                  taint_log=None) -> CollectResult:
+def collect_waves(trace: SystemTrace, taint_log=None) -> CollectResult:
     """Run the replay loop: taint, inclusion test, wave classification.
 
-    `monitor` is an optional ApiMonitor fed module events, return sites and
-    malware-trace instructions from the same cursor. `taint_log` is an
-    optional writable text stream receiving one line per instruction.
+    An ApiMonitor is fed module events, return sites and malware-trace
+    instructions from the same cursor. `taint_log` is an optional writable
+    text stream receiving one line per instruction.
     """
     page_size = trace.page_size
     observed = ObservedMemory(page_size)
+    monitor = ApiMonitor()
     pset = PropagationSet()
     states: dict[int, ProcessState] = {}
     tmap: dict[int, dict[int, int]] = {}
     records: list[WaveRecord] = []
     mtrace: list[InstrRef] = []
-    image_seen = False
+    image = None
 
     def state_for(pid: int) -> ProcessState:
         st = states.get(pid)
@@ -352,23 +358,20 @@ def collect_waves(trace: SystemTrace, monitor=None,
             st = state_for(ev.pid)
             st.shadow = ByteMap()
             st.shadow.store(ev.base, ev.bytes)
-            image_seen = True
+            image = ev
             continue
         if kind == "module":
-            if monitor is not None:
-                monitor.on_module(ev)
+            monitor.on_module(ev)
             continue
         if kind == "procexit":
             st = states.get(ev.pid)
             if st is not None:
                 close(st, None)
-            if monitor is not None:
-                monitor.on_procexit(ev.pid)
+            monitor.on_procexit(ev.pid)
             continue
 
         # instr
-        if monitor is not None:
-            monitor.on_return_site(ev)
+        monitor.on_return_site(ev)
         tainted = is_tainted_instruction(ev, pset)
         if tainted:
             st = state_for(ev.pid)
@@ -382,18 +385,18 @@ def collect_waves(trace: SystemTrace, monitor=None,
                 close(st, ref)
             else:
                 st.cur_instrs.append(ref)
-            if monitor is not None:
-                monitor.on_malware_instr(ev)
+            monitor.on_malware_instr(ev, (ev.pid, st.wave_index))
         update(ev, pset, tmap)
         observed.record_event(ev)
         if taint_log is not None:
             taint_log.write(taint_log_line(ev, tainted, pset, tmap) + "\n")
-        if image_seen and pset.empty:
+        if image is not None and pset.empty:
             break
 
     for pid in sorted(states):
         close(states[pid], None)
-    return CollectResult(mtrace=mtrace, records=records)
+    return CollectResult(mtrace=mtrace, records=records,
+                         calls=monitor.records, image=image)
 
 
 def verify_wave_semantics(records: list[WaveRecord], mtrace: list[InstrRef],

@@ -124,7 +124,7 @@ def test_criterion_3_taint_oracle_equivalence():
     events_checked = 0
     for seed in range(50):
         trace = random_micro_trace(seed, 1000)
-        image = trace.image_event()
+        image = collect_waves(trace).image
         pset = init_taint(image)
         state = naive_init(image)
         tw_prod: dict = {}
@@ -143,7 +143,7 @@ def test_criterion_3_taint_oracle_equivalence():
 def test_criterion_4_benign_writer_wave_captured():
     for seed in (0, 17, 63):
         trace, _ = generate_scenario("c4", seed)
-        pset = init_taint(trace.image_event())
+        pset = init_taint(collect_waves(trace).image)
         tw: dict = {}
         writers = []
         for ev in [ev for ev in trace.events if ev.kind == "instr"]:
@@ -194,7 +194,7 @@ def test_criterion_6_page_grouping_worked_example():
 
     grouping = group_wave(wave, page)
     assert len(grouping.kept) == 1
-    art = build_artifact(wave, grouping.kept[0], [])
+    art = build_artifact(grouping.kept[0], [])
     pe = read_pe(art.data)
     assert [(s.name, s.vaddr) for s in pe.sections] == \
         [(".idata", 0x1000), (".wseg0", 0x5300000), (".wseg1", 0x6200000)]

@@ -1,14 +1,7 @@
 from __future__ import annotations
 
-import pytest
-
-from waveunpack.api_monitor import (
-    ApiMonitor,
-    AttributionError,
-    attribute_calls,
-    detect_api_call,
-)
-from waveunpack.scenario_gen import TARGET_PID, generate_scenario
+from waveunpack.api_monitor import ApiMonitor, attribute_calls, detect_api_call
+from waveunpack.scenario_gen import SCENARIO_IDS, TARGET_PID, generate_scenario
 from waveunpack.trace_model import Branch, Export, TraceEvent
 from waveunpack.wave_collector import collect_waves
 
@@ -42,7 +35,7 @@ def _replay(monitor: ApiMonitor, events):
             monitor.on_procexit(ev.pid)
         else:
             monitor.on_return_site(ev)
-            monitor.on_malware_instr(ev)
+            monitor.on_malware_instr(ev, (ev.pid, 0))
 
 
 class TestExportMap:
@@ -133,61 +126,60 @@ class TestCaptureReturn:
 
     def test_monitor_matches_same_results(self):
         trace, _ = generate_scenario("d1", 2)
-        monitor = ApiMonitor()
-        collect_waves(trace, monitor=monitor)
-        gpa = [r for r in monitor.records
-               if r.function_name == "GetProcAddress"]
+        calls = collect_waves(trace).calls
+        gpa = [r for r in calls if r.function_name == "GetProcAddress"]
         assert gpa and all(r.return_value is not None for r in gpa)
-        exit_calls = [r for r in monitor.records
-                      if r.function_name == "ExitProcess"]
+        exit_calls = [r for r in calls if r.function_name == "ExitProcess"]
         assert exit_calls and exit_calls[0].return_value is None
 
 
 class TestAttribution:
     def test_d1_final_wave_calls(self):
         trace, _ = generate_scenario("d1", 0)
-        monitor = ApiMonitor()
-        result = collect_waves(trace, monitor=monitor)
-        per_wave = attribute_calls(monitor.records, result.records)
+        result = collect_waves(trace)
+        per_wave = attribute_calls(result.calls, result.records)
         final = per_wave[(100, 1)]
         assert len(final) == 5
         assert len({(c.module_name, c.function_name) for c in final}) == 3
 
     def test_c4_single_loadlibrary(self):
         trace, _ = generate_scenario("c4", 0)
-        monitor = ApiMonitor()
-        result = collect_waves(trace, monitor=monitor)
-        per_wave = attribute_calls(monitor.records, result.records)
+        result = collect_waves(trace)
+        per_wave = attribute_calls(result.calls, result.records)
         assert [c.function_name for c in per_wave[(TARGET_PID, 0)]] == \
             ["LoadLibraryA"]
 
     def test_benign_calls_never_attributed(self):
         trace, truth = generate_scenario("c1", 8)
-        monitor = ApiMonitor()
-        result = collect_waves(trace, monitor=monitor)
-        per_wave = attribute_calls(monitor.records, result.records)
+        result = collect_waves(trace)
+        per_wave = attribute_calls(result.calls, result.records)
         planted = sum(len(w["calls"]) for w in truth.manifest)
-        assert len(monitor.records) == planted
+        assert len(result.calls) == planted
         assert sum(len(v) for v in per_wave.values()) == planted
 
     def test_soundness_caller_in_wave(self):
         trace, _ = generate_scenario("m1", 1)
-        monitor = ApiMonitor()
-        result = collect_waves(trace, monitor=monitor)
-        per_wave = attribute_calls(monitor.records, result.records)
+        result = collect_waves(trace)
+        per_wave = attribute_calls(result.calls, result.records)
         by_key = {(r.pid, r.wave_index): {i.seq for i in r.instrs}
                   for r in result.records}
         for key, calls in per_wave.items():
             for call in calls:
                 assert call.caller_seq in by_key[key]
 
-    def test_unattributable_call_raises(self):
-        trace, _ = generate_scenario("d1", 0)
-        monitor = ApiMonitor()
-        result = collect_waves(trace, monitor=monitor)
-        monitor.records[0].caller_seq = 10 ** 9
-        with pytest.raises(AttributionError):
-            attribute_calls(monitor.records, result.records)
+    def test_stamped_wave_holds_caller(self):
+        """The wave stamped at detection is the one whose instructions hold
+        the caller, for every call of the 9 scenarios at seeds 0-9."""
+        for sid in SCENARIO_IDS:
+            for seed in range(10):
+                trace, _ = generate_scenario(sid, seed)
+                result = collect_waves(trace)
+                owner = {ref.seq: (rec.pid, rec.wave_index)
+                         for rec in result.records for ref in rec.instrs}
+                assert result.calls
+                for call in result.calls:
+                    assert call.wave_id == owner[call.caller_seq], \
+                        (sid, seed, call)
 
 
 def test_mid_trace_module_load_two_phase():

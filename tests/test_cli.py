@@ -77,6 +77,17 @@ class TestUnpack:
         report = json.loads((out / "report.json").read_text())
         assert report["summary"]["waves"] == 0
 
+    def test_trace_without_image_unpacks_to_nothing(self, tmp_path, capsys):
+        # nothing is tainted without an image, so no wave and no call exist
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(write_trace(SystemTrace(
+            events=[TraceEvent(kind="procexit", pid=1)])))
+        out = tmp_path / "out"
+        assert main(["unpack", str(trace), "-o", str(out)]) == 0
+        assert capsys.readouterr().out == "procs=0 waves=0 pe_files=0\n"
+        assert main(["check", str(trace), str(out)]) == 0
+        assert capsys.readouterr().out == "OK, 0 violations\n"
+
     def test_strict_semantics_passes_on_generated(self, d1_files, tmp_path):
         trace, _ = d1_files
         assert main(["unpack", str(trace), "-o", str(tmp_path / "o"),

@@ -16,11 +16,9 @@ from waveunpack.pe_builder import (
     build_import_table,
     layout_sections,
     patch_branches,
-    select_entry_point,
     write_sidecar,
 )
 from waveunpack.regroup import Interval, MemoryGroup
-from waveunpack.wave_collector import ByteMap, InstrRef, WaveRecord
 
 PAGE = 4096
 
@@ -35,15 +33,10 @@ def _call(seq, vaddr, length, fn, dll="kernel32", btype="call",
 
 
 def _group(*spans, data=None):
+    """A kept group whose wave entered it at its first span's base."""
     ivs = [Interval(base=b, end=e, bytes=data.get(b) if data else bytes(e - b))
            for b, e in spans]
-    return MemoryGroup(intervals=ivs)
-
-
-def _wave(instrs):
-    return WaveRecord(pid=1, wave_index=0, instrs=instrs,
-                      shadow_pairs=ByteMap(), twrite_pairs=ByteMap(),
-                      page_dumps={})
+    return MemoryGroup(intervals=ivs, entry=spans[0][0])
 
 
 class TestImportTable:
@@ -61,9 +54,8 @@ class TestImportTable:
 
     def test_calls_outside_group_filtered(self):
         group = _group((0x5300000, 0x5301000))
-        wave = _wave([InstrRef(1, 1, 0x5300000, b"\x90")])
         calls = [_call(2, 0x9999999, 6, "GetModuleHandleA")]
-        art = build_artifact(wave, group, calls)
+        art = build_artifact(group, calls)
         assert art.import_table.unique_count == 0
         assert [e for e in art.sidecar if e["kind"] == "api"] == []
 
@@ -87,32 +79,10 @@ class TestImportTable:
 
     def test_relocated_table_still_emits_valid_pe(self):
         group = _group((0x1000, 0x3000))
-        wave = _wave([InstrRef(1, 1, 0x1000, b"\x90")])
-        art = build_artifact(wave, group, [])
+        art = build_artifact(group, [])
         pe = read_pe(art.data)
         assert [s.vaddr for s in pe.sections] == [0x1000, 0x3000]
         assert pe.sections[1].name == ".idata"
-
-
-class TestEntryPoint:
-    def test_first_in_range_by_sequence(self):
-        wave = _wave([InstrRef(4, 1, 0x6200010, b"\x90"),
-                      InstrRef(7, 1, 0x5300000, b"\x90")])
-        group = _group((0x5300000, 0x5301000))
-        assert select_entry_point(wave, group) == 0x5300000
-
-    def test_two_groups_distinct_entries(self):
-        wave = _wave([InstrRef(1, 1, 0x5300008, b"\x90"),
-                      InstrRef(2, 1, 0x6200004, b"\x90")])
-        g1 = _group((0x5300000, 0x5301000))
-        g2 = _group((0x6200000, 0x6201000))
-        assert select_entry_point(wave, g1) == 0x5300008
-        assert select_entry_point(wave, g2) == 0x6200004
-
-    def test_group_without_execution_raises(self):
-        wave = _wave([InstrRef(1, 1, 0x9300000, b"\x90")])
-        with pytest.raises(EmitError):
-            select_entry_point(wave, _group((0x5300000, 0x5301000)))
 
 
 class TestPatch:
@@ -194,11 +164,9 @@ class TestEmit:
         data = bytearray(PAGE)
         data[0:6] = b"\xff\x15\x78\x56\x34\x12"
         group = _group((0x5300000, 0x5301000), data={0x5300000: bytes(data)})
-        wave = _wave([InstrRef(1, 1, 0x5300000,
-                               b"\xff\x15\x78\x56\x34\x12")])
         calls = [_call(1, 0x5300000, 6, "GetModuleHandleA",
                        caller_bytes=b"\xff\x15\x78\x56\x34\x12")]
-        return build_artifact(wave, group, calls)
+        return build_artifact(group, calls)
 
     def test_sections_and_entry_round_trip(self):
         art = self._artifact()
@@ -212,16 +180,14 @@ class TestEmit:
 
     def test_fig4_style_two_interval_group(self):
         g = _group((0x5300000, 0x5304000), (0x6200000, 0x6202000))
-        wave = _wave([InstrRef(1, 1, 0x5300000, b"\x90")])
-        art = build_artifact(wave, g, [])
+        art = build_artifact(g, [])
         pe = read_pe(art.data)
         assert [s.vaddr for s in pe.sections] == [0x1000, 0x5300000, 0x6200000]
         assert [s.name for s in pe.sections] == [".idata", ".wseg0", ".wseg1"]
 
     def test_empty_import_table_still_emits(self):
         g = _group((0x5300000, 0x5301000))
-        wave = _wave([InstrRef(1, 1, 0x5300000, b"\x90")])
-        art = build_artifact(wave, g, [])
+        art = build_artifact(g, [])
         pe = read_pe(art.data)
         assert pe.imports == {}
         assert pe.import_dir[0] == art.import_table.placement_rva
@@ -235,15 +201,13 @@ class TestEmit:
 
     def test_overlapping_sections_rejected(self):
         g = _group((0x2000, 0x4000), (0x3000, 0x5000))
-        wave = _wave([InstrRef(1, 1, 0x2000, b"\x90")])
         with pytest.raises(EmitError):
-            build_artifact(wave, g, [])
+            build_artifact(g, [])
 
     def test_artifact_sections_are_the_emitted_sections(self):
         # .idata sits between the two intervals, so the RVA order interleaves
         g = _group((0x1000, 0x3000), (0x8000, 0x9000))
-        wave = _wave([InstrRef(1, 1, 0x1000, b"\x90")])
-        art = build_artifact(wave, g, [])
+        art = build_artifact(g, [])
         pe = read_pe(art.data)
         assert [(s.name, s.rva, len(s.data)) for s in art.sections] == \
             [(s.name, s.vaddr, s.vsize) for s in pe.sections]
@@ -284,8 +248,7 @@ class TestSizeOfCode:
     @example(spans=[(0x1000, 0x3000), (0x8000, 0x9000)])
     @given(spans=_layouts())
     def test_counts_every_interval_and_no_idata(self, spans):
-        wave = _wave([InstrRef(1, 1, spans[0][0], b"\x90")])
-        pe = read_pe(build_artifact(wave, _group(*spans), []).data)
+        pe = read_pe(build_artifact(_group(*spans), []).data)
         assert pe.size_of_code == sum(end - base for base, end in spans)
 
 

@@ -150,3 +150,45 @@ class TestGroupWave:
                     outside.extend(iv.range for iv in other.intervals)
             for iv in grp.intervals:
                 assert scan_refs(iv.bytes, iv.base, outside) == set()
+
+
+class TestGroupEntry:
+    def test_first_in_range_by_sequence(self):
+        # the earlier instruction outside the group and the lower address
+        # executed later are both passed over
+        wave = _wave([_ref(4, 0x6200010), _ref(7, 0x5300020),
+                      _ref(8, 0x5300000)], {0x5300000: bytes(PAGE)})
+        grouping = group_wave(wave, PAGE)
+        assert [grp.entry for grp in grouping.kept] == [0x5300020]
+
+    def test_two_groups_distinct_entries(self):
+        wave = _wave([_ref(1, 0x5300008), _ref(2, 0x6200004)],
+                     {0x5300000: bytes(PAGE), 0x6200000: bytes(PAGE)})
+        grouping = group_wave(wave, PAGE)
+        assert [grp.entry for grp in grouping.kept] == [0x5300008, 0x6200004]
+
+    def test_group_without_execution_has_no_entry(self):
+        wave = _wave([_ref(1, 0x5300010)],
+                     {0x5300000: bytes(PAGE), 0x5305000: bytes(PAGE)})
+        grouping = group_wave(wave, PAGE)
+        assert [grp.entry for grp in grouping.kept] == [0x5300010]
+        assert [grp.entry for grp in grouping.dropped] == [None]
+
+    def test_scenario_entries_are_first_executed_inside(self):
+        """Over the 9 scenarios at seeds 0-9: a kept group's entry is the
+        first executed address inside it, and its PE enters there; a
+        dropped group executed nothing and has no entry."""
+        from waveunpack.pipeline import analyze
+        from waveunpack.scenario_gen import SCENARIO_IDS, generate_scenario
+
+        for sid in SCENARIO_IDS:
+            for seed in range(10):
+                res = analyze(generate_scenario(sid, seed)[0])
+                for out in res.outputs:
+                    vaddrs = [ref.vaddr for ref in out.record.instrs]
+                    for grp, art in zip(out.grouping.kept, out.artifacts):
+                        first = next(v for v in vaddrs if grp.contains(v))
+                        assert grp.entry == art.entry_rva == first, (sid, seed)
+                    for grp in out.grouping.dropped:
+                        assert grp.entry is None, (sid, seed)
+                        assert not any(grp.contains(v) for v in vaddrs)

@@ -13,6 +13,7 @@ from waveunpack.scenario_gen import (
 )
 from waveunpack.taint_engine import init_taint, is_tainted_instruction, update
 from waveunpack.trace_model import parse_trace, write_trace
+from waveunpack.wave_collector import collect_waves
 
 EXPECTED_TABLE = {
     "d1": (1, 2, 5, 3), "d2": (1, 2, 5, 3), "d3": (1, 3, 5, 3),
@@ -53,7 +54,7 @@ def test_traces_are_serializable_and_valid(sid):
     assert parse_trace(blob) == trace
     assert write_trace(parse_trace(blob)) == blob
     first_instr = [ev for ev in trace.events if ev.kind == "instr"][0]
-    image = trace.image_event()
+    image = collect_waves(trace).image
     assert first_instr.pid == image.pid
     assert first_instr.vaddr == image.base  # entry point opens the trace
 
@@ -69,7 +70,7 @@ def test_different_seed_different_addresses_same_truth():
     b, truth_b = generate_scenario("d1", 2)
     assert truth_a.to_json() == truth_b.to_json()
     assert write_trace(a) != write_trace(b)
-    assert a.image_event().base != b.image_event().base or \
+    assert collect_waves(a).image.base != collect_waves(b).image.base or \
         a.events[-2].vaddr != b.events[-2].vaddr
 
 
@@ -83,7 +84,7 @@ def test_c4_payload_writers_are_untainted():
     """Write-then-execute counterexample: the instructions that write the
     executed payload are benign, yet the wave in the target is captured."""
     trace, _ = generate_scenario("c4", 0)
-    pset = init_taint(trace.image_event())
+    pset = init_taint(collect_waves(trace).image)
     tw: dict = {}
     writer_seqs = []
     for ev in [ev for ev in trace.events if ev.kind == "instr"]:
@@ -118,4 +119,4 @@ def test_benign_background_present_and_unattributed():
 
 def test_malware_pid_constant():
     trace, _ = generate_scenario("d1", 3)
-    assert trace.image_event().pid == MALWARE_PID
+    assert collect_waves(trace).image.pid == MALWARE_PID

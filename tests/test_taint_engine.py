@@ -1,17 +1,15 @@
 from __future__ import annotations
 
-import pytest
-
 from oracles import naive_init, naive_tainted, naive_update
 from waveunpack.scenario_gen import generate_scenario
 from waveunpack.taint_engine import (
-    MissingImageError,
     PropagationSet,
     init_taint,
     is_tainted_instruction,
     update,
 )
 from waveunpack.trace_model import MemLoc, TraceEvent
+from waveunpack.wave_collector import collect_waves
 
 
 def _image(size=4096, gbase=0x1000):
@@ -34,13 +32,9 @@ class TestInitTaint:
         pset = init_taint(_image(size=0))
         assert pset.empty
 
-    def test_missing_image(self):
-        with pytest.raises(MissingImageError):
-            init_taint(None)
-
     def test_d1_image_count(self):
         trace, _ = generate_scenario("d1", 11)
-        image = trace.image_event()
+        image = collect_waves(trace).image
         pset = init_taint(image)
         assert len(pset.tainted_mem) == len(image.bytes)
 
@@ -137,7 +131,7 @@ def _naive_state_matches(pset, state):
 def test_oracle_equivalence_on_micro_traces(micro_trace):
     for seed in range(6):
         trace = micro_trace(seed, 400)
-        image = trace.image_event()
+        image = collect_waves(trace).image
         pset = init_taint(image)
         state = naive_init(image)
         tw_prod: dict = {}
@@ -152,8 +146,6 @@ def test_oracle_equivalence_on_micro_traces(micro_trace):
 
 
 def test_mtrace_is_order_preserving_subsequence():
-    from waveunpack.wave_collector import collect_waves
-
     trace, _ = generate_scenario("m1", 4)
     result = collect_waves(trace)
     seqs = [ref.seq for ref in result.mtrace]

@@ -72,8 +72,8 @@ class TestClassifyCase:
 class TestDumpWave:
     def test_d1_first_wave_shadow_is_image(self):
         trace, _ = generate_scenario("d1", 9)
-        image = trace.image_event()
         result = collect_waves(trace)
+        image = result.image
         first = _waves_of(result, MALWARE_PID)[0]
         assert first.shadow_pairs == {image.base + i: b
                                       for i, b in enumerate(image.bytes)}
@@ -199,7 +199,7 @@ class TestVerifySemantics:
             trace, _ = generate_scenario(sid, 5)
             result = collect_waves(trace)
             assert verify_wave_semantics(result.records, result.mtrace,
-                                         trace.image_event()) == []
+                                         result.image) == []
 
     def test_bullet1_missing_instruction(self):
         trace, _ = generate_scenario("d1", 0)
@@ -209,7 +209,7 @@ class TestVerifySemantics:
                               rec.shadow_pairs, rec.twrite_pairs)
         records = [result.records[0], tampered]
         violations = verify_wave_semantics(records, result.mtrace,
-                                           trace.image_event())
+                                           result.image)
         assert any(v.bullet == 1 for v in violations)
 
     def test_bullet2_overlapping_waves(self):
@@ -358,7 +358,7 @@ def _collected(sid: str, seed: int):
     """Image, records and malware trace of one scenario; copy before editing."""
     trace, _ = generate_scenario(sid, seed)
     result = collect_waves(trace)
-    return trace.image_event(), result.records, result.mtrace
+    return result.image, result.records, result.mtrace
 
 
 _FAULTS = ("missing shadow byte", "foreign shadow pair", "overlapping waves",
