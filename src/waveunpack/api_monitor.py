@@ -44,7 +44,7 @@ class ApiCallRecord:
 
     caller_seq: int
     caller_vaddr: int
-    caller_len: int
+    caller_bytes: bytes  # the traced encoding; the log keeps its length
     pid: int
     tid: int
     target_vaddr: int
@@ -55,7 +55,10 @@ class ApiCallRecord:
     wave_id: tuple[int, int] | None = None
     # carried for the static stage, not part of the log schema
     btype: str = "call"
-    caller_bytes: bytes = b""
+
+    @property
+    def caller_len(self) -> int:
+        return len(self.caller_bytes)
 
     @property
     def qualified_name(self) -> str:
@@ -92,7 +95,7 @@ def detect_api_call(ev: TraceEvent, exports: ExportMap) -> ApiCallRecord | None:
     return ApiCallRecord(
         caller_seq=ev.seq,
         caller_vaddr=ev.vaddr,
-        caller_len=len(ev.bytes),
+        caller_bytes=ev.bytes,
         pid=ev.pid,
         tid=ev.tid,
         target_vaddr=ev.branch.target_vaddr,
@@ -100,7 +103,6 @@ def detect_api_call(ev: TraceEvent, exports: ExportMap) -> ApiCallRecord | None:
         function_name=function_name,
         return_address=ev.stack_top,
         btype=ev.branch.btype,
-        caller_bytes=ev.bytes,
     )
 
 

@@ -177,7 +177,7 @@ def patch_branches(group: MemoryGroup, calls: list[ApiCallRecord],
         buf = bufs[iv.base]
         off = call.caller_vaddr - iv.base
         current = bytes(buf[off:off + call.caller_len])
-        if call.caller_bytes and current != call.caller_bytes:
+        if current != call.caller_bytes:
             raise PatchIntegrityError(
                 f"dump/trace mismatch at {call.caller_vaddr:#x}: "
                 f"dump {current.hex()} vs trace {call.caller_bytes.hex()}")

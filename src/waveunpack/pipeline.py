@@ -31,14 +31,12 @@ class WaveOutput:
     record: WaveRecord
     grouping: WaveGrouping
     artifacts: list[PEArtifact]
-    calls: list[ApiCallRecord]
 
 
 @dataclass
 class PipelineResult:
     page_size: int
     collect: CollectResult
-    api_records: list[ApiCallRecord]
     per_wave_calls: dict[tuple[int, int], list[ApiCallRecord]]
     outputs: list[WaveOutput]
     violations: list[Violation]
@@ -64,12 +62,11 @@ def analyze(trace: SystemTrace, patch: bool = True,
         artifacts = [build_artifact(grp, calls, patch=patch)
                      for grp in grouping.kept]
         outputs.append(WaveOutput(record=rec, grouping=grouping,
-                                  artifacts=artifacts, calls=calls))
+                                  artifacts=artifacts))
 
     violations = verify_wave_semantics(collect.records, collect.mtrace,
                                        collect.image)
     result = PipelineResult(page_size=trace.page_size, collect=collect,
-                            api_records=collect.calls,
                             per_wave_calls=per_wave, outputs=outputs,
                             violations=violations)
     result.report = build_report(result, time.perf_counter() - started)
@@ -85,6 +82,7 @@ def build_report(result: PipelineResult, elapsed: float | None = None) -> dict:
     pe_files = 0
     for out in result.outputs:
         rec = out.record
+        calls = result.per_wave_calls[(rec.pid, rec.wave_index)]
         groups = []
         for gi, art in enumerate(out.artifacts):
             pe_files += 1
@@ -104,8 +102,8 @@ def build_report(result: PipelineResult, elapsed: float | None = None) -> dict:
             "instructions": len(rec.instrs),
             "first_seq": rec.first_seq,
             "last_seq": rec.last_seq,
-            "api_calls": len(out.calls),
-            "unique_apis": _unique_apis(out.calls),
+            "api_calls": len(calls),
+            "unique_apis": _unique_apis(calls),
             "groups": groups,
             "dropped_pages": out.grouping.dropped_pages,
         })
@@ -129,7 +127,7 @@ def build_report(result: PipelineResult, elapsed: float | None = None) -> dict:
             "procs": len(procs),
             "waves": len(result.collect.records),
             "pe_files": pe_files,
-            "api_calls": len(result.api_records),
+            "api_calls": len(result.collect.calls),
             "final_wave": final_block,
         },
         "processes": [
@@ -161,7 +159,7 @@ def _render(result: PipelineResult, report: dict | None):
     """
     yield "api_calls.jsonl", _batched(
         json.dumps(rec.log_obj(), sort_keys=True) + "\n"
-        for rec in result.api_records)
+        for rec in result.collect.calls)
     for wave_out in result.outputs:
         rec = wave_out.record
         wdir = f"pid{rec.pid}/wave{rec.wave_index}"

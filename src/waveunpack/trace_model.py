@@ -106,7 +106,6 @@ class TraceEvent:
 class SystemTrace:
     events: list[TraceEvent] = field(default_factory=list)
     page_size: int = DEFAULT_PAGE_SIZE
-    version: int = FORMAT_VERSION
 
 
 _VALID_KINDS = ("image", "module", "instr", "procexit")
@@ -338,9 +337,7 @@ def parse_trace(data) -> SystemTrace:
             f"unsupported trace format {header['format']!r} "
             f"(this reader handles {FORMAT_VERSION})", 1)
     trace = SystemTrace(
-        page_size=_header_page_size(header.get("page_size", DEFAULT_PAGE_SIZE)),
-        version=header["format"],
-    )
+        page_size=_header_page_size(header.get("page_size", DEFAULT_PAGE_SIZE)))
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -420,7 +417,7 @@ def _dumps(obj) -> bytes:
 
 def write_trace(trace: SystemTrace) -> bytes:
     """Serialize canonically: sorted keys, lower-case hex, no extra whitespace."""
-    out = [_dumps({"format": trace.version,
+    out = [_dumps({"format": FORMAT_VERSION,
                    "page_size": _header_page_size(trace.page_size)})]
     # line numbers mirror the file position parse_trace would report
     out.extend(_dumps(_event_to_obj(ev))

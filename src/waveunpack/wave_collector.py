@@ -9,15 +9,14 @@ The same loop feeds the API monitor, which stamps each detected call with
 the wave its caller just joined: that wave's index moves only when the wave
 closes, so the stamp is final and attribution happens at detection.
 
-Shadow memory and the tainted-write snapshot of a closed wave are ByteMaps,
-kept per CHUNK_SIZE chunk of address space rather than per byte; only the
-taint engine's live tainted writes are a dict. Wave-set violations of one
-wave's shadow memory are listed in ascending address order.
+Shadow memory and the tainted-write snapshot of a closed wave are ByteMaps:
+byte stores kept per CHUNK_SIZE chunk of address space rather than per byte.
+Only the taint engine's live tainted writes are a dict. Wave-set violations
+of one wave's shadow memory are listed in ascending address order.
 """
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, MutableMapping
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -39,35 +38,28 @@ _CHUNK_MASK = CHUNK_SIZE - 1
 _PRESENT = b"\x01" * CHUNK_SIZE
 
 
-class ByteMap(MutableMapping):
+class ByteMap:
     """A map from address to byte value, stored per CHUNK_SIZE-aligned chunk.
 
     A chunk holding any address keeps one value bytearray and one presence
     bytearray (1 where the address is mapped), so storing a byte string,
-    testing a span and reading runs back are slice operations. Otherwise it
-    is a dict of int to byte, iterated in ascending address order; a value
-    outside 0-255 raises ValueError.
+    testing a span and reading runs back are slice operations. items() and
+    runs() read in ascending address order. A value outside 0-255 raises
+    ValueError.
     """
 
-    __slots__ = ("_vals", "_have", "_len")
+    __slots__ = ("_vals", "_have")
 
-    def __init__(self, pairs=()):
+    def __init__(self):
         # chunk number -> values, and -> presence; no chunk is all absent
         self._vals: dict[int, bytearray] = {}
         self._have: dict[int, bytearray] = {}
-        self._len = 0
-        if isinstance(pairs, ByteMap):
-            self._vals = {k: vals.copy() for k, vals in pairs._vals.items()}
-            self._have = {k: have.copy() for k, have in pairs._have.items()}
-            self._len = pairs._len
-        else:
-            self.update(pairs)
 
     def copy(self) -> ByteMap:
-        return ByteMap(self)
-
-    def __len__(self) -> int:
-        return self._len
+        new = ByteMap()
+        new._vals = {k: vals.copy() for k, vals in self._vals.items()}
+        new._have = {k: have.copy() for k, have in self._have.items()}
+        return new
 
     def __contains__(self, vaddr) -> bool:
         have = self._have.get(vaddr >> _CHUNK_SHIFT)
@@ -80,12 +72,6 @@ class ByteMap(MutableMapping):
             return default
         return self._vals[k][vaddr & _CHUNK_MASK]
 
-    def __getitem__(self, vaddr: int) -> int:
-        byte = self.get(vaddr)
-        if byte is None:
-            raise KeyError(vaddr)
-        return byte
-
     def __setitem__(self, vaddr: int, byte: int):
         k, off = vaddr >> _CHUNK_SHIFT, vaddr & _CHUNK_MASK
         have = self._have.get(k)
@@ -96,29 +82,12 @@ class ByteMap(MutableMapping):
             have = self._have[k] = bytearray(CHUNK_SIZE)
         else:
             self._vals[k][off] = byte
-        if not have[off]:
-            have[off] = 1
-            self._len += 1
-
-    def __delitem__(self, vaddr: int):
-        k, off = vaddr >> _CHUNK_SHIFT, vaddr & _CHUNK_MASK
-        have = self._have.get(k)
-        if have is None or not have[off]:
-            raise KeyError(vaddr)
-        have[off] = 0
-        self._len -= 1
-        if have.find(1) < 0:
-            del self._have[k], self._vals[k]
-
-    def __iter__(self):
-        for start, data in self.runs():
-            yield from range(start, start + len(data))
+        have[off] = 1
 
     def items(self):
-        return _ByteMapItems(self)
-
-    def __repr__(self) -> str:
-        return f"ByteMap({dict(self.items())!r})"
+        """(address, byte) pairs in ascending address order, a run at a time."""
+        return chain.from_iterable(zip(range(start, start + len(data)), data)
+                                   for start, data in self.runs())
 
     def store(self, vaddr: int, data: bytes) -> None:
         """Map vaddr + i to data[i] for every i."""
@@ -130,7 +99,6 @@ class ByteMap(MutableMapping):
             if have is None:
                 have = self._have[k] = bytearray(CHUNK_SIZE)
                 self._vals[k] = bytearray(CHUNK_SIZE)
-            self._len += end - off - have.count(1, off, end)
             have[off:end] = _PRESENT[off:end]
             self._vals[k][off:end] = data[pos:pos + end - off]
             pos += end - off
@@ -182,14 +150,6 @@ class ByteMap(MutableMapping):
         """Bases of the pages holding a mapped address; `page_size` is a
         multiple of CHUNK_SIZE."""
         return {(k << _CHUNK_SHIFT) // page_size * page_size for k in self._have}
-
-
-class _ByteMapItems(ItemsView):
-    """(address, byte) pairs in ascending address order, a run at a time."""
-
-    def __iter__(self):
-        return chain.from_iterable(zip(range(start, start + len(data)), data)
-                                   for start, data in self._mapping.runs())
 
 
 class InstrRef(NamedTuple):
@@ -275,12 +235,10 @@ def classify_case(ev: TraceEvent, state: ProcessState) -> int:
         return 1 if shadow.isdisjoint(span) else 4
     in_shadow = [v in shadow for v in span]
     in_tw = [v in tw for v in span]
-    if not any(in_shadow) and not any(in_tw):
-        return 1
     if any(t and not s for s, t in zip(in_shadow, in_tw)):
         return 2
     if all(in_shadow) and any(
-            v in tw and tw[v] != shadow[v] for v in span):
+            v in tw and tw[v] != shadow.get(v) for v in span):
         return 3
     return 4
 
@@ -301,7 +259,9 @@ def dump_wave(state: ProcessState, trigger: InstrRef | None,
     becomes the new wave's entry point. The record takes over the state's
     shadow and instruction list; the state gets new ones.
     """
-    twrites = ByteMap(state.twrites)
+    twrites = ByteMap()
+    for vaddr, byte in state.twrites.items():
+        twrites[vaddr] = byte
     record = None
     if state.cur_instrs:
         record = WaveRecord(

@@ -9,8 +9,17 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from waveunpack.trace_model import MemLoc, SystemTrace, TraceEvent
+from waveunpack.wave_collector import ByteMap
 
 PAGE = 4096
+
+
+def bytemap(pairs: dict[int, int]) -> ByteMap:
+    """A ByteMap holding the address -> byte pairs of a dict."""
+    bmap = ByteMap()
+    for vaddr, byte in pairs.items():
+        bmap[vaddr] = byte
+    return bmap
 
 
 class MicroSpace:

@@ -1,7 +1,7 @@
 """Independent reference implementations used only as test oracles.
 
 Nothing here may import from the production code it checks: the taint
-reference is a label-set rewrite of the dataflow rules, the PE reader is a
+reference is a set-algebra rewrite of the dataflow rules, the PE reader is a
 from-scratch struct parser, the reference scanner decodes at every byte
 offset with the single-instruction decoder, which has its own table tests,
 and the wave references test every byte of every instruction one by one.
@@ -15,35 +15,42 @@ from dataclasses import dataclass, field
 from waveunpack.disasm import DecodeError, decode_one
 
 
-# --- naive set-of-labels taint reference ------------------------------------
+# --- naive two-set taint reference ------------------------------------------
 
-def naive_init(image_event) -> frozenset:
-    return frozenset(("m", g) for g in
-                     range(image_event.gbase,
-                           image_event.gbase + len(image_event.bytes)))
+# The reference state is a pair of frozensets: tainted memory ids (g) and
+# tainted (pid, tid, register) triples.
 
-
-def naive_tainted(ev, state: frozenset) -> bool:
-    return any(("m", g) in state
-               for g in range(ev.gaddr, ev.gaddr + len(ev.bytes)))
+def naive_init(image_event) -> tuple[frozenset, frozenset]:
+    mem = frozenset(range(image_event.gbase,
+                          image_event.gbase + len(image_event.bytes)))
+    return mem, frozenset()
 
 
-def naive_update(ev, state: frozenset, twrites: dict) -> tuple[frozenset, dict]:
+def naive_tainted(ev, state) -> bool:
+    mem, _ = state
+    return any(g in mem for g in range(ev.gaddr, ev.gaddr + len(ev.bytes)))
+
+
+def naive_update(ev, state, twrites: dict) -> tuple[tuple, dict]:
     """Functional rewrite of the propagation step over one instruction."""
-    inputs = {("m", m.g) for m in ev.reads}
-    inputs |= {("r", ev.pid, ev.tid, r) for r in ev.rregs}
-    outputs = {("m", m.g) for m in ev.writes}
-    outputs |= {("r", ev.pid, ev.tid, r) for r in ev.wregs}
-    code = {("m", g) for g in range(ev.gaddr, ev.gaddr + len(ev.bytes))}
+    mem, regs = state
+    in_mem = {m.g for m in ev.reads}
+    in_regs = {(ev.pid, ev.tid, r) for r in ev.rregs}
+    out_mem = {m.g for m in ev.writes}
+    out_regs = {(ev.pid, ev.tid, r) for r in ev.wregs}
+    code = set(range(ev.gaddr, ev.gaddr + len(ev.bytes)))
 
-    hot = bool(inputs & state) or bool(code & state)
-    new_state = state | outputs if hot else state - outputs
+    hot = bool(in_mem & mem) or bool(in_regs & regs) or bool(code & mem)
+    if hot:
+        new_mem, new_regs = mem | out_mem, regs | out_regs
+    else:
+        new_mem, new_regs = mem - out_mem, regs - out_regs
 
     new_tw = {pid: dict(m) for pid, m in twrites.items()}
     for w in ev.writes:
-        if ("m", w.g) in new_state and w.space_pid == ev.pid:
+        if w.g in new_mem and w.space_pid == ev.pid:
             new_tw.setdefault(ev.pid, {})[w.v] = w.val
-    return frozenset(new_state), new_tw
+    return (new_mem, new_regs), new_tw
 
 
 # --- minimal independent PE32 reader ----------------------------------------
@@ -219,7 +226,7 @@ def reference_classify_case(ev, state) -> int:
     if any(t and not s for s, t in zip(in_shadow, in_tw)):
         return 2
     if all(in_shadow) and any(
-            v in tw and tw[v] != shadow[v] for v in span):
+            v in tw and tw[v] != shadow.get(v) for v in span):
         return 3
     return 4
 

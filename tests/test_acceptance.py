@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_micro_trace
+from conftest import bytemap, random_micro_trace
 from oracles import naive_init, naive_tainted, naive_update, read_pe
 from waveunpack.disasm import decode_one
 from waveunpack.pe_builder import build_artifact
@@ -84,8 +84,8 @@ def test_criterion_2_wave_semantics(full_sweep):
 
     def rec(pid, widx, instrs, shadow, twrites):
         return WaveRecord(pid=pid, wave_index=widx, instrs=instrs,
-                          shadow_pairs=ByteMap(shadow),
-                          twrite_pairs=ByteMap(twrites), page_dumps={})
+                          shadow_pairs=bytemap(shadow),
+                          twrite_pairs=bytemap(twrites), page_dumps={})
 
     r1 = InstrRef(1, 1, 0x400000, b"\x90")
     stray = InstrRef(9, 1, 0x400001, b"\x90")
@@ -117,8 +117,7 @@ def test_criterion_2_wave_semantics(full_sweep):
 
 def test_criterion_3_taint_oracle_equivalence():
     def naive_matches(pset, state):
-        mem = {lbl[1] for lbl in state if lbl[0] == "m"}
-        regs = {lbl[1:] for lbl in state if lbl[0] == "r"}
+        mem, regs = state
         return pset.tainted_mem == mem and pset.tainted_regs == regs
 
     events_checked = 0
@@ -166,7 +165,7 @@ def test_criterion_5_attribution_matches_manifest(full_sweep):
         got = {key: [c.qualified_name for c in calls]
                for key, calls in result.per_wave_calls.items()}
         assert got == want, f"{sid} seed {seed}"
-        assert all(rec.pid != 300 for rec in result.api_records)
+        assert all(rec.pid != 300 for rec in result.collect.calls)
     _verdict(5, "attributed call lists equal the planted manifests exactly; "
                 "benign calls land in zero waves")
 
@@ -189,7 +188,7 @@ def test_criterion_6_page_grouping_worked_example():
     for p in tainted:
         shadow.setdefault(p, 0)
     wave = WaveRecord(pid=1, wave_index=0, instrs=instrs,
-                      shadow_pairs=ByteMap(shadow), twrite_pairs=ByteMap(),
+                      shadow_pairs=bytemap(shadow), twrite_pairs=ByteMap(),
                       page_dumps=dumps)
 
     grouping = group_wave(wave, page)

@@ -23,13 +23,13 @@ from waveunpack.regroup import Interval, MemoryGroup
 PAGE = 4096
 
 
-def _call(seq, vaddr, length, fn, dll="kernel32", btype="call",
-          caller_bytes=b""):
+def _call(seq, vaddr, code, fn, dll="kernel32", btype="call"):
+    """A call from the site at `vaddr` whose traced encoding is `code`."""
     return ApiCallRecord(caller_seq=seq, caller_vaddr=vaddr,
-                         caller_len=length, pid=1, tid=1,
+                         caller_bytes=code, pid=1, tid=1,
                          target_vaddr=0x77000000, module_name=dll,
                          function_name=fn, return_address=None,
-                         btype=btype, caller_bytes=caller_bytes)
+                         btype=btype)
 
 
 def _group(*spans, data=None):
@@ -42,10 +42,10 @@ def _group(*spans, data=None):
 class TestImportTable:
     def test_unique_functions_only(self):
         group = _group((0x5300000, 0x5301000))
-        calls = [_call(1, 0x5300010, 6, "GetModuleHandleA"),
-                 _call(2, 0x5300020, 2, "GetProcAddress"),
-                 _call(3, 0x5300030, 2, "GetProcAddress"),
-                 _call(4, 0x5300040, 1, "ExitProcess")]
+        calls = [_call(1, 0x5300010, bytes(6), "GetModuleHandleA"),
+                 _call(2, 0x5300020, bytes(2), "GetProcAddress"),
+                 _call(3, 0x5300030, bytes(2), "GetProcAddress"),
+                 _call(4, 0x5300040, bytes(1), "ExitProcess")]
         table = build_import_table(group, calls)
         assert table.unique_count == 3
         assert table.entries == [("kernel32", ["GetModuleHandleA",
@@ -54,7 +54,7 @@ class TestImportTable:
 
     def test_calls_outside_group_filtered(self):
         group = _group((0x5300000, 0x5301000))
-        calls = [_call(2, 0x9999999, 6, "GetModuleHandleA")]
+        calls = [_call(2, 0x9999999, bytes(6), "GetModuleHandleA")]
         art = build_artifact(group, calls)
         assert art.import_table.unique_count == 0
         assert [e for e in art.sidecar if e["kind"] == "api"] == []
@@ -65,8 +65,9 @@ class TestImportTable:
 
     def test_slots_ascend_and_align(self):
         group = _group((0x5300000, 0x5301000))
-        calls = [_call(1, 0x5300010, 6, "A"), _call(2, 0x5300020, 6, "B"),
-                 _call(3, 0x5300030, 6, "C", dll="user32")]
+        calls = [_call(1, 0x5300010, bytes(6), "A"),
+                 _call(2, 0x5300020, bytes(6), "B"),
+                 _call(3, 0x5300030, bytes(6), "C", dll="user32")]
         table = build_import_table(group, calls)
         slots = sorted(table.slots.values())
         assert all(s % 4 == 0 for s in slots)
@@ -86,18 +87,17 @@ class TestImportTable:
 
 
 class TestPatch:
-    def _make(self, site_bytes, length, btype="call", fn="GetModuleHandleA"):
+    def _make(self, site_bytes, btype="call", fn="GetModuleHandleA"):
         data = bytearray(PAGE)
         data[0x10:0x10 + len(site_bytes)] = site_bytes
         group = _group((0x5300000, 0x5301000), data={0x5300000: bytes(data)})
-        call = _call(1, 0x5300010, length, fn, btype=btype,
-                     caller_bytes=bytes(site_bytes))
+        call = _call(1, 0x5300010, bytes(site_bytes), fn, btype=btype)
         table = build_import_table(group, [call])
         return group, call, table
 
     def test_ff15_site_rewritten_to_new_slot(self):
         old = b"\xff\x15\x78\x56\x34\x12"
-        group, call, table = self._make(old, 6)
+        group, call, table = self._make(old)
         patched, sidecar = patch_branches(group, [call], table)
         ins = decode_one(patched[0][0x10:0x16], 0x5300010)
         assert ins.mnemonic == "call"
@@ -106,20 +106,20 @@ class TestPatch:
 
     def test_jmp_rewritten_with_ff25(self):
         old = b"\xff\x25\x78\x56\x34\x12"
-        group, call, table = self._make(old, 6, btype="jmp")
+        group, call, table = self._make(old, btype="jmp")
         patched, _ = patch_branches(group, [call], table)
         assert patched[0][0x10:0x12] == b"\xff\x25"
 
     def test_six_byte_register_relative_call_becomes_ff15(self):
         old = b"\xff\x95\x40\x00\x00\x00"
-        group, call, table = self._make(old, 6)
+        group, call, table = self._make(old)
         patched, sidecar = patch_branches(group, [call], table)
         ins = decode_one(patched[0][0x10:0x16], 0x5300010)
         assert (ins.mnemonic, ins.length) == ("call", 6)
         assert sidecar[0]["patched"] is True
 
     def test_short_site_goes_to_sidecar(self):
-        group, call, table = self._make(b"\xff\xd0", 2)
+        group, call, table = self._make(b"\xff\xd0")
         patched, sidecar = patch_branches(group, [call], table)
         assert patched[0][0x10:0x12] == b"\xff\xd0"
         assert sidecar == [{"caller_vaddr": 0x5300010, "len": 2,
@@ -129,21 +129,21 @@ class TestPatch:
                             "patched": False}]
 
     def test_ret_site_never_patched(self):
-        group, call, table = self._make(b"\xc3", 1, btype="ret",
+        group, call, table = self._make(b"\xc3", btype="ret",
                                         fn="MessageBoxA")
         _, sidecar = patch_branches(group, [call], table)
         assert sidecar[0]["patched"] is False
 
     def test_dump_trace_mismatch_raises(self):
-        group, call, table = self._make(b"\xff\x15\x00\x00\x00\x00", 6)
-        bad = _call(1, 0x5300010, 6, "GetModuleHandleA",
-                    caller_bytes=b"\xff\x15\xde\xad\xbe\xef")
+        group, call, table = self._make(b"\xff\x15\x00\x00\x00\x00")
+        bad = _call(1, 0x5300010, b"\xff\x15\xde\xad\xbe\xef",
+                    "GetModuleHandleA")
         with pytest.raises(PatchIntegrityError):
             patch_branches(group, [bad], table)
 
     def test_only_patched_bytes_change(self):
         old = b"\xff\x15\x78\x56\x34\x12"
-        group, call, table = self._make(old, 6)
+        group, call, table = self._make(old)
         patched, _ = patch_branches(group, [call], table)
         original = group.intervals[0].bytes
         diffs = [i for i, (a, b) in enumerate(zip(original, patched[0]))
@@ -153,7 +153,7 @@ class TestPatch:
 
     def test_disabled_patching_keeps_bytes_and_sidecars_all(self):
         old = b"\xff\x15\x78\x56\x34\x12"
-        group, call, table = self._make(old, 6)
+        group, call, table = self._make(old)
         patched, sidecar = patch_branches(group, [call], table, enable=False)
         assert patched[0] == group.intervals[0].bytes
         assert sidecar[0]["patched"] is False
@@ -164,8 +164,8 @@ class TestEmit:
         data = bytearray(PAGE)
         data[0:6] = b"\xff\x15\x78\x56\x34\x12"
         group = _group((0x5300000, 0x5301000), data={0x5300000: bytes(data)})
-        calls = [_call(1, 0x5300000, 6, "GetModuleHandleA",
-                       caller_bytes=b"\xff\x15\x78\x56\x34\x12")]
+        calls = [_call(1, 0x5300000, b"\xff\x15\x78\x56\x34\x12",
+                       "GetModuleHandleA")]
         return build_artifact(group, calls)
 
     def test_sections_and_entry_round_trip(self):

@@ -6,6 +6,7 @@ import random
 import struct
 import tracemalloc
 
+from conftest import bytemap
 from oracles import read_pe
 import pytest
 
@@ -55,7 +56,8 @@ class TestStaticStage:
     def test_wave_zero_pe_emitted_without_calls(self, d1_run):
         _, _, result = d1_run
         first = result.outputs[0]
-        assert first.calls == []
+        assert result.per_wave_calls[(first.record.pid,
+                                      first.record.wave_index)] == []
         assert first.artifacts
         assert first.artifacts[0].import_table.unique_count == 0
 
@@ -116,7 +118,7 @@ class TestReport:
         assert summary["pe_files"] == sum(len(o.artifacts)
                                           for o in result.outputs)
         assert summary["waves"] == len(result.collect.records)
-        assert summary["api_calls"] == len(result.api_records)
+        assert summary["api_calls"] == len(result.collect.calls)
 
     def test_timing_present_then_stripped(self, d1_run, tmp_path):
         trace, _, result = d1_run
@@ -137,14 +139,14 @@ def test_pair_file_matches_json_dump(n):
     # batched encoding must give the bytes of one json.dumps of the sorted
     # pairs, here one run per pair
     pairs = _pairs(n, 7)
-    assert b"".join(_pair_chunks(ByteMap(pairs))) == \
+    assert b"".join(_pair_chunks(bytemap(pairs))) == \
         json.dumps(sorted(pairs.items())).encode()
 
 
 @pytest.mark.parametrize("n", [1023, 1024, 1025, 2500])
 def test_pair_file_of_one_run_matches_json_dump(n):
     pairs = _pairs(n, 1)  # one run across chunks
-    assert b"".join(_pair_chunks(ByteMap(pairs))) == \
+    assert b"".join(_pair_chunks(bytemap(pairs))) == \
         json.dumps(sorted(pairs.items())).encode()
 
 

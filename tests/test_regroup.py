@@ -2,16 +2,17 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import bytemap
 from waveunpack.regroup import Interval, group_wave, merge_groups
-from waveunpack.wave_collector import ByteMap, InstrRef, WaveRecord
+from waveunpack.wave_collector import InstrRef, WaveRecord
 
 PAGE = 4096
 
 
 def _wave(instrs, dumps, shadow=None, twrites=None, pid=1):
     return WaveRecord(pid=pid, wave_index=0, instrs=instrs,
-                      shadow_pairs=ByteMap(shadow or {}),
-                      twrite_pairs=ByteMap(twrites or {}), page_dumps=dumps)
+                      shadow_pairs=bytemap(shadow or {}),
+                      twrite_pairs=bytemap(twrites or {}), page_dumps=dumps)
 
 
 def _ref(seq, vaddr, code=b"\x90"):

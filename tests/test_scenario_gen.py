@@ -114,7 +114,7 @@ def test_benign_background_present_and_unattributed():
         res = analyze(trace)
         attributed = sum(len(v) for v in res.per_wave_calls.values())
         assert attributed == sum(len(w["calls"]) for w in truth.manifest)
-        assert all(rec.pid != 300 for rec in res.api_records)
+        assert all(rec.pid != 300 for rec in res.collect.calls)
 
 
 def test_malware_pid_constant():

@@ -123,8 +123,7 @@ class TestInclusionPredicate:
 
 
 def _naive_state_matches(pset, state):
-    mem = {lbl[1] for lbl in state if lbl[0] == "m"}
-    regs = {lbl[1:] for lbl in state if lbl[0] == "r"}
+    mem, regs = state
     return pset.tainted_mem == mem and pset.tainted_regs == regs
 
 

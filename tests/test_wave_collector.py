@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bytemap
 from oracles import reference_classify_case, reference_verify_wave_semantics
 from waveunpack.scenario_gen import (
     MALWARE_PID,
@@ -46,23 +47,23 @@ class TestClassifyCase:
         assert classify_case(_instr(vaddr=0x600000), state) == 2
 
     def test_overwritten_code_is_case3(self):
-        state = ProcessState(pid=1, shadow=ByteMap({0x600000: 0xCC}),
+        state = ProcessState(pid=1, shadow=bytemap({0x600000: 0xCC}),
                              twrites={0x600000: 0x90})
         assert classify_case(_instr(vaddr=0x600000, code=b"\x90"), state) == 3
 
     def test_consistent_shadow_is_case4(self):
-        state = ProcessState(pid=1, shadow=ByteMap({0x600000: 0x90}))
+        state = ProcessState(pid=1, shadow=bytemap({0x600000: 0x90}))
         assert classify_case(_instr(vaddr=0x600000), state) == 4
 
     def test_rewritten_with_same_bytes_is_case4(self):
-        state = ProcessState(pid=1, shadow=ByteMap({0x600000: 0x90}),
+        state = ProcessState(pid=1, shadow=bytemap({0x600000: 0x90}),
                              twrites={0x600000: 0x90})
         assert classify_case(_instr(vaddr=0x600000), state) == 4
 
     def test_span_straddling_fresh_write_is_case2(self):
         # last byte of the encoding was freshly generated
         state = ProcessState(pid=1,
-                             shadow=ByteMap({0x600000: 0xB8, 0x600001: 1,
+                             shadow=bytemap({0x600000: 0xB8, 0x600001: 1,
                                              0x600002: 2, 0x600003: 3}),
                              twrites={0x600004: 4})
         ev = _instr(vaddr=0x600000, code=b"\xb8\x01\x02\x03\x04")
@@ -75,21 +76,21 @@ class TestDumpWave:
         result = collect_waves(trace)
         image = result.image
         first = _waves_of(result, MALWARE_PID)[0]
-        assert first.shadow_pairs == {image.base + i: b
-                                      for i, b in enumerate(image.bytes)}
+        assert dict(first.shadow_pairs.items()) == \
+            {image.base + i: b for i, b in enumerate(image.bytes)}
         assert first.wave_index == 0
 
     def test_rotation_and_trigger(self):
-        state = ProcessState(pid=1, shadow=ByteMap({0x400000: 0xCC}),
+        state = ProcessState(pid=1, shadow=bytemap({0x400000: 0xCC}),
                              twrites={0x600000: 0x90},
                              cur_instrs=[InstrRef(1, 1, 0x400000, b"\xcc")])
         observed = ObservedMemory()
         trigger = InstrRef(2, 1, 0x600000, b"\x90")
         rec = dump_wave(state, trigger, observed, 4096)
         assert rec is not None and rec.wave_index == 0
-        assert rec.twrite_pairs == {0x600000: 0x90}
+        assert dict(rec.twrite_pairs.items()) == {0x600000: 0x90}
         assert 0x400000 in rec.page_dumps and 0x600000 in rec.page_dumps
-        assert state.shadow == {0x600000: 0x90}
+        assert dict(state.shadow.items()) == {0x600000: 0x90}
         assert state.twrites == {}
         assert state.cur_instrs == [trigger]
         assert state.wave_index == 1
@@ -98,11 +99,11 @@ class TestDumpWave:
         state = ProcessState(pid=1, twrites={0x600000: 1})
         assert dump_wave(state, None, ObservedMemory(), 4096) is None
         assert state.wave_index == 0
-        assert state.shadow == {0x600000: 1}
+        assert dict(state.shadow.items()) == {0x600000: 1}
 
     def test_record_unaffected_by_later_state_changes(self):
         # the record takes over the state's shadow and instruction list
-        state = ProcessState(pid=1, shadow=ByteMap({0x400000: 0xCC}),
+        state = ProcessState(pid=1, shadow=bytemap({0x400000: 0xCC}),
                              twrites={0x600000: 0x90},
                              cur_instrs=[InstrRef(1, 1, 0x400000, b"\xcc")])
         rec = dump_wave(state, InstrRef(2, 1, 0x600000, b"\x90"),
@@ -112,8 +113,8 @@ class TestDumpWave:
         state.twrites[0x600000] = 0x00
         state.twrites[0x700000] = 0x01
         state.cur_instrs.append(InstrRef(3, 1, 0x700000, b"\x01"))
-        assert rec.shadow_pairs == {0x400000: 0xCC}
-        assert rec.twrite_pairs == {0x600000: 0x90}
+        assert dict(rec.shadow_pairs.items()) == {0x400000: 0xCC}
+        assert dict(rec.twrite_pairs.items()) == {0x600000: 0x90}
         assert rec.instrs == [InstrRef(1, 1, 0x400000, b"\xcc")]
         assert rec.entry_vaddr == 0x400000
 
@@ -189,8 +190,15 @@ class TestCollectWaves:
 
 def _mk_record(pid, widx, instrs, shadow, twrites):
     return WaveRecord(pid=pid, wave_index=widx, instrs=instrs,
-                      shadow_pairs=ByteMap(shadow),
-                      twrite_pairs=ByteMap(twrites), page_dumps={})
+                      shadow_pairs=bytemap(shadow),
+                      twrite_pairs=bytemap(twrites), page_dumps={})
+
+
+def _without(bmap: ByteMap, vaddr: int) -> ByteMap:
+    """A copy of `bmap` with `vaddr` unmapped."""
+    pairs = dict(bmap.items())
+    pairs.pop(vaddr, None)
+    return bytemap(pairs)
 
 
 class TestVerifySemantics:
@@ -205,8 +213,8 @@ class TestVerifySemantics:
         trace, _ = generate_scenario("d1", 0)
         result = collect_waves(trace)
         rec = result.records[1]
-        tampered = _mk_record(rec.pid, rec.wave_index, rec.instrs[:-1],
-                              rec.shadow_pairs, rec.twrite_pairs)
+        tampered = WaveRecord(rec.pid, rec.wave_index, rec.instrs[:-1],
+                              rec.shadow_pairs, rec.twrite_pairs, {})
         records = [result.records[0], tampered]
         violations = verify_wave_semantics(records, result.mtrace,
                                            result.image)
@@ -259,7 +267,6 @@ _MAP_OPS = st.one_of(
     st.tuples(st.just("store"), _MAP_ADDRS,
               st.binary(min_size=0, max_size=2 * CHUNK_SIZE + 3)),
     st.tuples(st.just("set"), _MAP_ADDRS, st.integers(0, 255)),
-    st.tuples(st.just("del"), _MAP_ADDRS),
     st.tuples(st.just("query"), _MAP_ADDRS,
               st.integers(0, 16) | st.integers(0, 2 * CHUNK_SIZE + 3)),
 )
@@ -287,44 +294,38 @@ class TestByteMap:
             elif op == "set":
                 bmap[vaddr] = arg[0]
                 model[vaddr] = arg[0]
-            elif op == "del":
-                if vaddr in model:
-                    del bmap[vaddr], model[vaddr]
-                else:
-                    with pytest.raises(KeyError):
-                        del bmap[vaddr]
             else:
                 span = range(vaddr, vaddr + arg[0])
                 assert bmap.isdisjoint(span) == model.keys().isdisjoint(span)
                 assert (vaddr in bmap) == (vaddr in model)
                 assert bmap.get(vaddr) == model.get(vaddr)
                 assert bmap.get(vaddr, -1) == model.get(vaddr, -1)
-            assert len(bmap) == len(model)
-        assert bmap == model
         assert list(bmap.items()) == sorted(model.items())
-        assert list(bmap) == sorted(model)
         assert list(bmap.runs()) == _model_runs(model)
         for page_size in (0x1000, 0x4000):
             assert bmap.page_bases(page_size) == \
                 {v - v % page_size for v in model}
         copy = bmap.copy()
-        assert copy == bmap and list(copy.runs()) == list(bmap.runs())
+        assert list(copy.items()) == list(bmap.items())
+        assert list(copy.runs()) == list(bmap.runs())
 
     def test_copy_is_independent(self):
-        bmap = ByteMap({CHUNK_SIZE - 1: 1, CHUNK_SIZE: 2})
+        bmap = bytemap({CHUNK_SIZE - 1: 1, CHUNK_SIZE: 2})
         copy = bmap.copy()
-        copy.store(CHUNK_SIZE - 2, b"\x07\x08\x09")
-        del copy[CHUNK_SIZE]
-        assert bmap == {CHUNK_SIZE - 1: 1, CHUNK_SIZE: 2}
-        assert copy == {CHUNK_SIZE - 2: 7, CHUNK_SIZE - 1: 8}
+        copy.store(CHUNK_SIZE - 2, b"\x07\x08")
+        copy[CHUNK_SIZE + 1] = 9
+        assert dict(bmap.items()) == {CHUNK_SIZE - 1: 1, CHUNK_SIZE: 2}
+        assert dict(copy.items()) == {CHUNK_SIZE - 2: 7, CHUNK_SIZE - 1: 8,
+                                      CHUNK_SIZE: 2, CHUNK_SIZE + 1: 9}
 
     @pytest.mark.parametrize("value", [-1, 256, 300])
     def test_value_outside_a_byte_is_rejected(self, value):
-        bmap = ByteMap({0x400000: 1})
+        bmap = bytemap({0x400000: 1})
         for vaddr in (0x400001, 0x800000):  # a chunk held and a new one
             with pytest.raises(ValueError):
                 bmap[vaddr] = value
-        assert bmap == {0x400000: 1} and list(bmap.runs()) == [(0x400000, b"\x01")]
+        assert dict(bmap.items()) == {0x400000: 1}
+        assert list(bmap.runs()) == [(0x400000, b"\x01")]
 
 
 # --- equivalence with the per-byte references in oracles.py ------------------
@@ -348,8 +349,8 @@ def classify_inputs(draw):
 
 
 def _copy_records(records: list[WaveRecord]) -> list[WaveRecord]:
-    return [_mk_record(r.pid, r.wave_index, list(r.instrs),
-                       r.shadow_pairs, r.twrite_pairs)
+    return [WaveRecord(r.pid, r.wave_index, list(r.instrs),
+                       r.shadow_pairs.copy(), r.twrite_pairs.copy(), {})
             for r in records]
 
 
@@ -374,10 +375,11 @@ def _inject(draw, fault: str, records: list[WaveRecord], next_seq: int):
     ref = pick(rec.instrs)
     at = draw(st.integers(0, len(rec.instrs)))
     if fault == "missing shadow byte":
-        rec.shadow_pairs.pop(ref.vaddr + draw(st.integers(0, len(ref.bytes) - 1)),
-                             None)
+        rec.shadow_pairs = _without(
+            rec.shadow_pairs, ref.vaddr + draw(st.integers(0, len(ref.bytes) - 1)))
     elif fault == "foreign shadow pair":
-        v = pick(sorted(rec.shadow_pairs)) if rec.shadow_pairs else ref.vaddr
+        addrs = [v for v, _ in rec.shadow_pairs.items()]
+        v = pick(addrs) if addrs else ref.vaddr
         rec.shadow_pairs[v] = (rec.shadow_pairs.get(v, 0)
                                + draw(st.integers(1, 255))) % 256
     elif fault == "overlapping waves":
@@ -413,7 +415,7 @@ class TestReferenceEquivalence:
     @given(classify_inputs())
     def test_classify_case_matches_reference(self, inputs):
         shadow, twrites, vaddr, code = inputs
-        state = ProcessState(pid=1, shadow=ByteMap(shadow), twrites=twrites)
+        state = ProcessState(pid=1, shadow=bytemap(shadow), twrites=twrites)
         ev = _instr(vaddr=vaddr, code=code)
         assert classify_case(ev, state) == reference_classify_case(ev, state)
 
@@ -432,9 +434,9 @@ class TestReferenceEquivalence:
         ref = rec.instrs[0]
         next_seq = mtrace[-1].seq + 1
         if fault == "missing shadow byte":
-            del rec.shadow_pairs[ref.vaddr]
+            rec.shadow_pairs = _without(rec.shadow_pairs, ref.vaddr)
         elif fault == "foreign shadow pair":
-            rec.shadow_pairs[ref.vaddr] ^= 0xFF
+            rec.shadow_pairs[ref.vaddr] = rec.shadow_pairs.get(ref.vaddr) ^ 0xFF
         elif fault == "overlapping waves":
             rec.instrs.append(InstrRef(next_seq, rec.pid, ref.vaddr, ref.bytes))
         elif fault == "duplicated seq":
@@ -444,7 +446,7 @@ class TestReferenceEquivalence:
         elif fault == "rewritten encoding":
             rec.instrs.append(InstrRef(next_seq, rec.pid, ref.vaddr, b"\xcc"))
         else:
-            del rec.shadow_pairs[ref.vaddr]
+            rec.shadow_pairs = _without(rec.shadow_pairs, ref.vaddr)
             rec.instrs += [InstrRef(next_seq + i, rec.pid, ref.vaddr, ref.bytes)
                            for i in range(3)]
         got = [str(v) for v in verify_wave_semantics(records, mtrace, image)]
