@@ -12,6 +12,7 @@ from .disasm import DecodeError, decode_one
 from .pe_builder import EmitError, PatchIntegrityError
 from .scenario_gen import UnknownScenarioError, generate_scenario
 from .trace_model import (
+    SystemTrace,
     TraceFormatError,
     check_page_size,
     parse_trace,
@@ -62,14 +63,20 @@ def _build_parser() -> argparse.ArgumentParser:
 _PIPELINE_ERRORS = (EmitError, PatchIntegrityError)
 
 
-def cmd_unpack(args) -> int:
+def _read_trace(path: str) -> SystemTrace | None:
+    """The trace parsed from `path`, or None once the error is printed."""
     try:
-        trace = parse_trace(Path(args.trace).read_bytes())
+        return parse_trace(Path(path).read_bytes())
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
     except TraceFormatError as exc:
-        print(f"error: {args.trace}: {exc}", file=sys.stderr)
+        print(f"error: {path}: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_unpack(args) -> int:
+    trace = _read_trace(args.trace)
+    if trace is None:
         return 1
     if args.page_size is not None:
         try:
@@ -138,14 +145,16 @@ def _print_integrity(issues: list[str]) -> None:
 
 
 def cmd_check(args) -> int:
+    trace = _read_trace(args.trace)
+    if trace is None:
+        return 1
     try:
-        trace = parse_trace(Path(args.trace).read_bytes())
         issues, violations = pipeline.check_outputs(trace, args.out)
     except pipeline.CheckError as exc:
         _print_integrity(exc.issues)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, TraceFormatError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _PIPELINE_ERRORS as exc:

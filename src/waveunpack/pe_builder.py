@@ -226,7 +226,8 @@ class PEArtifact:
 
 def layout_sections(group: MemoryGroup, table: ImportTable,
                     patched_bytes: list[bytes]) -> list[SectionSpec]:
-    """.idata plus one .wsegN per interval, sorted by RVA and disjoint."""
+    """.idata plus one .wsegN per interval, sorted by RVA, disjoint and
+    inside a 32-bit image."""
     sections = [SectionSpec(".idata", table.placement_rva, table.blob)]
     for iv, data in zip(group.intervals, patched_bytes):
         if len(data) != iv.end - iv.base:
@@ -236,6 +237,11 @@ def layout_sections(group: MemoryGroup, table: ImportTable,
 
     prev_end = 0
     for sec in sections:
+        # emit_pe's SizeOfImage term, which must fit its 32-bit field
+        if sec.rva < 0 or _align(sec.rva + max(len(sec.data), 1),
+                                 SECTION_ALIGN) >= 1 << 32:
+            raise EmitError(f"section {sec.name} at {sec.rva:#x} does not fit "
+                            f"in a 32-bit image")
         if sec.rva < prev_end:
             raise EmitError(f"section {sec.name} overlaps at {sec.rva:#x}")
         prev_end = sec.rva + _align(max(len(sec.data), 1), SECTION_ALIGN)

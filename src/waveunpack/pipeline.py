@@ -8,7 +8,7 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 from .api_monitor import ApiCallRecord, attribute_calls
@@ -148,6 +148,8 @@ _WAVE_NAME = re.compile(r"wave(\d+)")
 _OWNED_NAME = re.compile(rf"api_calls\.jsonl|report\.json|{_PID_NAME.pattern}")
 # lines or pairs encoded per chunk, so one chunk, not a file, is held
 _BATCH = 1024
+# a full batch of [v, b] pairs as json.dumps spells them, 10 bytes a pair
+_PAIRS = b", [%d, %d]" * _BATCH
 
 
 def _render(result: PipelineResult, report: dict | None):
@@ -206,14 +208,15 @@ def _pair_chunks(pairs: ByteMap):
     """[v, b] pairs in address order as one JSON array, the bytes
     json.dumps(sorted(pairs.items())) gives.
 
-    Batches keep the text held small; json.dumps runs the C encoder.
+    Each batch of up to _BATCH pairs is one bytes % over the flat
+    (v, b, v, b, ...) arguments, so no pair becomes a list.
     """
-    items = iter(pairs.items())
-    sep = ""
+    flat = chain.from_iterable(pairs.items())
+    skip = 2  # the first pair has no ", " before it
     yield b"["
-    while batch := list(islice(items, _BATCH)):
-        yield (sep + json.dumps(batch)[1:-1]).encode()
-        sep = ", "
+    while args := tuple(islice(flat, 2 * _BATCH)):
+        yield (_PAIRS[:5 * len(args)] % args)[skip:]
+        skip = 0
     yield b"]"
 
 

@@ -354,9 +354,10 @@ def parse_trace(data) -> SystemTrace:
 def _check_stream(numbered_events):
     """Yield the events of (line, event) pairs that pass the stream rules.
 
-    The rules: instruction invariants, at most one image, no instruction of
-    the malware pid before it, and strictly rising seq. A lazy source fails
-    on its first bad line, whether the fault is in the line or the stream.
+    The rules: instruction invariants, at most one image, which fits in 32
+    bits, no instruction of the malware pid before it, and strictly rising
+    seq. A lazy source fails on its first bad line, whether the fault is in
+    the line or the stream.
     """
     last_seq = None
     image_seen = False
@@ -375,6 +376,10 @@ def _check_stream(numbered_events):
         elif kind == "image":
             if image_seen:
                 raise TraceFormatError("multiple image events", line_no)
+            if not 0 <= ev.base <= _U32 - len(ev.bytes):
+                raise TraceFormatError(
+                    f"image at {ev.base:#x} of {len(ev.bytes):#x} bytes does not "
+                    f"fit in 32 bits", line_no)
             if ev.pid in instr_pids_before_image:
                 raise TraceFormatError(
                     f"instr event before any image event in the malware pid {ev.pid}",

@@ -18,7 +18,7 @@ of one wave's shadow memory are listed in ascending address order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, groupby
 from typing import NamedTuple
 
 from .api_monitor import ApiCallRecord, ApiMonitor
@@ -400,26 +400,19 @@ def verify_wave_semantics(records: list[WaveRecord], mtrace: list[InstrRef],
 
     image = image_event.bytes if image_event is not None else b""
     image_base = image_event.base if image_event is not None else 0
-    for rec in records:
-        earlier_tw = set()
-        for other in records:
-            if other is not rec and other.first_seq < rec.first_seq:
-                earlier_tw.update(other.twrite_pairs.items())
-        own_pairs = set()
-        for vaddr, code in {(ref.vaddr, ref.bytes) for ref in rec.instrs}:
-            own_pairs.update(zip(range(vaddr, vaddr + len(code)), code))
-        for start, data in rec.shadow_pairs.runs():
-            off = start - image_base
-            if 0 <= off and image[off:off + len(data)] == data:
-                continue  # the whole run is image bytes
-            for pair in zip(range(start, start + len(data)), data):
-                off = pair[0] - image_base
-                if (0 <= off < len(image) and image[off] == pair[1]
-                        or pair in earlier_tw or pair in own_pairs):
-                    continue
-                out.append(Violation(3, rec.pid, rec.wave_index,
-                                     f"shadow pair ({pair[0]:#x}, {pair[1]:#04x}) has no "
-                                     f"legitimate provenance"))
+    # one walk in first_seq order grows the earlier waves' tainted writes; a
+    # group of equal first_seq joins only after all of it is checked
+    provenance: list[list[Violation]] = [[] for _ in records]
+    earlier_tw: set[tuple[int, int]] = set()
+    by_start = sorted(range(len(records)), key=lambda i: records[i].first_seq)
+    for _, group in groupby(by_start, key=lambda i: records[i].first_seq):
+        group = list(group)
+        for i in group:
+            provenance[i] = _provenance_violations(records[i], earlier_tw,
+                                                   image, image_base)
+        for i in group:
+            earlier_tw.update(records[i].twrite_pairs.items())
+    out.extend(chain.from_iterable(provenance))
 
     for rec in records:
         shadow = rec.shadow_pairs
@@ -435,4 +428,27 @@ def verify_wave_semantics(records: list[WaveRecord], mtrace: list[InstrRef],
                 out.append(Violation(4, rec.pid, rec.wave_index,
                                      f"instruction seq {ref.seq} byte at {v:#x} "
                                      f"missing from shadow"))
+    return out
+
+
+def _provenance_violations(rec: WaveRecord, earlier_tw: set[tuple[int, int]],
+                           image: bytes, image_base: int) -> list[Violation]:
+    """Bullet 3 for one wave, in address order: shadow pairs that are not
+    image bytes, earlier waves' tainted writes or the wave's own code."""
+    own_pairs = set()
+    for vaddr, code in {(ref.vaddr, ref.bytes) for ref in rec.instrs}:
+        own_pairs.update(zip(range(vaddr, vaddr + len(code)), code))
+    out = []
+    for start, data in rec.shadow_pairs.runs():
+        off = start - image_base
+        if 0 <= off and image[off:off + len(data)] == data:
+            continue  # the whole run is image bytes
+        for pair in zip(range(start, start + len(data)), data):
+            off = pair[0] - image_base
+            if (0 <= off < len(image) and image[off] == pair[1]
+                    or pair in earlier_tw or pair in own_pairs):
+                continue
+            out.append(Violation(3, rec.pid, rec.wave_index,
+                                 f"shadow pair ({pair[0]:#x}, {pair[1]:#04x}) has no "
+                                 f"legitimate provenance"))
     return out

@@ -570,6 +570,66 @@ class TestPipelineErrors:
         assert "Traceback" not in err
 
 
+def _shift_image(trace: Path, delta: int) -> int:
+    """Move the trace's image by `delta`; returns the image's line number."""
+    lines = trace.read_text().splitlines(keepends=True)
+    for number, line in enumerate(lines, start=1):
+        obj = json.loads(line)
+        if obj.get("kind") == "image":
+            obj["base"] += delta
+            lines[number - 1] = json.dumps(obj) + "\n"
+            trace.write_text("".join(lines))
+            return number
+    raise AssertionError("no image event")
+
+
+def _run(command: str, trace, out) -> int:
+    args = ([command, str(trace), "-o", str(out)] if command == "unpack"
+            else [command, str(trace), str(out)])
+    return main(args)
+
+
+class TestAddressSpaceEnds:
+    @pytest.mark.parametrize("command", ["unpack", "check"])
+    @pytest.mark.parametrize("delta", [1 << 32, -0x10000000])
+    def test_image_outside_32_bits_exits_1(self, command, delta, d1_files,
+                                           tmp_path, capsys):
+        trace, _ = d1_files
+        line = _shift_image(trace, delta)
+        assert _run(command, trace, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"error: {trace}: line {line}: image at " in err
+        assert "does not fit in 32 bits" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["unpack", "check"])
+    def test_code_on_the_top_page_exits_2(self, command, tmp_path, capsys):
+        top = 0xFFFFF000
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(write_trace(SystemTrace(events=[
+            TraceEvent(kind="image", pid=1, base=top, gbase=0x1000,
+                       name="t.exe", bytes=b"\x90" * 0x1000),
+            TraceEvent(kind="instr", pid=1, seq=1, tid=1, vaddr=top,
+                       gaddr=0x1000, bytes=b"\x90"),
+            TraceEvent(kind="procexit", pid=1),
+        ])))
+        assert _run(command, trace, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "error: section .wseg0 at 0xfffff000 does not fit in a 32-bit " \
+               "image" in err
+        assert "Traceback" not in err
+
+
+def test_unpack_and_check_name_the_trace_in_parse_errors(tmp_path, capsys):
+    trace = tmp_path / "bad.jsonl"
+    trace.write_text('{"format": 1}\n{"kind": "bogus", "pid": 1}\n')
+    errors = []
+    for command in ("unpack", "check"):
+        assert _run(command, trace, tmp_path / "out") == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"error: {trace}: line 2: unknown event kind 'bogus'\n"] * 2
+
+
 def _write_undumped_tail_trace(path):
     """A one-page image whose last two bytes start a 5-byte `e9` jmp.
 

@@ -220,6 +220,16 @@ class TestEmit:
         assert pe.size_of_image >= top
         assert pe.size_of_image % 0x1000 == 0
 
+    def test_top_page_does_not_fit_a_32_bit_image(self):
+        # its SizeOfImage would be 2**32
+        with pytest.raises(EmitError, match="section .wseg0 at 0xfffff000 "
+                                            "does not fit in a 32-bit image"):
+            build_artifact(_group((0xFFFFF000, 1 << 32)), [])
+
+    def test_page_below_the_top_fits(self):
+        art = build_artifact(_group((0xFFFFE000, 0xFFFFF000)), [])
+        assert read_pe(art.data).size_of_image == 0xFFFFF000
+
     def test_layout_rejects_resized_interval(self):
         g = _group((0x5300000, 0x5301000))
         table = build_import_table(g, [])

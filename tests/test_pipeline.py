@@ -7,10 +7,13 @@ import struct
 import tracemalloc
 
 from conftest import bytemap
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import read_pe
 import pytest
 
 from waveunpack.pipeline import (
+    _BATCH,
     _instr_line,
     _pair_chunks,
     analyze,
@@ -156,6 +159,34 @@ def test_pair_file_of_gapped_runs_matches_json_dump():
         pairs.store(start, bytes((start + i) % 251 for i in range(0x300)))
     assert b"".join(_pair_chunks(pairs)) == \
         json.dumps(sorted(pairs.items())).encode()
+
+
+# addresses a run is drawn across: a chunk edge, a change of decimal width
+# (0 -> 10, 99 -> 100, 9_999_999 -> 10_000_000) and the top of 32 bits
+_PAIR_EDGES = (0, 10, 100, CHUNK_SIZE * 5, 10_000_000, 1 << 32)
+
+
+@st.composite
+def _pair_maps(draw):
+    """A ByteMap of up to 4 runs, and the dict of the pairs it holds."""
+    pairs, model = ByteMap(), {}
+    for _ in range(draw(st.integers(0, 4))):
+        length = draw(st.integers(1, 2 * _BATCH + 3))
+        start = draw(st.sampled_from(_PAIR_EDGES)) - draw(st.integers(0, length))
+        start = min(max(start, 0), (1 << 32) - length)
+        salt = draw(st.integers(0, 255))
+        data = bytes((salt + 7 * i) % 256 for i in range(length))
+        pairs.store(start, data)
+        model.update(zip(range(start, start + length), data))
+    return pairs, model
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair_maps())
+def test_pair_file_matches_json_dump_of_random_runs(drawn):
+    pairs, model = drawn
+    assert b"".join(_pair_chunks(pairs)) == \
+        json.dumps(sorted(model.items())).encode()
 
 
 @pytest.mark.parametrize("seq, vaddr, code", [

@@ -69,6 +69,25 @@ class TestStreamRules:
             parse_trace(format_fault + _lines_of([_image()]).split(b"\n", 1)[1])
 
 
+@pytest.mark.parametrize("base, size", [(-1, 16), ((1 << 32) - 15, 16),
+                                        (1 << 32, 1)])
+def test_image_outside_32_bits_rejected_alike(base, size):
+    line = json.dumps({"kind": "image", "pid": 1, "base": base, "gbase": 0x1000,
+                       "name": "t.exe", "bytes": "cc" * size}).encode()
+    with pytest.raises(TraceFormatError) as parsed:
+        parse_trace(write_trace(SystemTrace()) + line + b"\n")
+    with pytest.raises(TraceFormatError) as written:
+        write_trace(SystemTrace(events=[_image(base=base, data=b"\xcc" * size)]))
+    assert str(parsed.value) == str(written.value) == (
+        f"line 2: image at {base:#x} of {size:#x} bytes does not fit in 32 bits")
+
+
+@pytest.mark.parametrize("base", [0, (1 << 32) - 16])
+def test_image_at_either_end_of_32_bits_parses(base):
+    trace = SystemTrace(events=[_image(base=base)])
+    assert parse_trace(write_trace(trace)) == trace
+
+
 class TestParse:
     def test_image_only_trace(self):
         trace = SystemTrace(events=[_image()])

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import functools
+import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,20 @@ from conftest import bytemap
 from oracles import reference_classify_case, reference_verify_wave_semantics
 from waveunpack.scenario_gen import (
     MALWARE_PID,
+    PAGE,
     SCENARIO_IDS,
     TARGET_PID,
+    TID,
+    TraceBuilder,
     generate_scenario,
 )
-from waveunpack.trace_model import MemLoc, ObservedMemory, SystemTrace, TraceEvent
+from waveunpack.trace_model import (
+    Branch,
+    MemLoc,
+    ObservedMemory,
+    SystemTrace,
+    TraceEvent,
+)
 from waveunpack.wave_collector import (
     CHUNK_SIZE,
     ByteMap,
@@ -452,3 +463,61 @@ class TestReferenceEquivalence:
         got = [str(v) for v in verify_wave_semantics(records, mtrace, image)]
         assert got, fault
         assert got == reference_verify_wave_semantics(records, mtrace, image)
+
+
+def chain_trace(stages: int, seed: int = 0) -> SystemTrace:
+    """A packer of `stages` generated one-page layers, one wave each.
+
+    Every layer is a 2-byte writer that plants the next layer's code plus
+    one never-executed pad byte, then a jmp into it; the image holds the
+    first layer and the last layer is a nop. The pad byte is legitimate in
+    the next wave's shadow only as an earlier wave's tainted write.
+    """
+    rng = random.Random(seed)
+    tb = TraceBuilder()
+    pid = MALWARE_PID
+    image = tb.image_region(pid, 0x400000)
+    layers = [image] + [tb.region(rng, [pid]) for _ in range(stages)]
+
+    def code(k):
+        if k == stages:
+            return b"\x90"
+        src, dst = layers[k].addr(pid, 2), layers[k + 1].addr(pid)
+        return b"\xf3\xa4" + b"\xe9" + struct.pack("<i", dst - src - 5)
+
+    tb.emit_image(image, code(0).ljust(PAGE, b"\0"), "chain.exe")
+    for k in range(stages):
+        here, nxt = layers[k], layers[k + 1]
+        planted = code(k + 1) + b"\xcc"
+        tb.instr(pid, TID, here.addr(pid), here.g, code(k)[:2],
+                 writes=nxt.locs(pid, 0, planted))
+        tb.instr(pid, TID, here.addr(pid, 2), here.g + 2, code(k)[2:],
+                 branch=Branch(nxt.addr(pid), "jmp"))
+    tb.instr(pid, TID, layers[-1].addr(pid), layers[-1].g, code(stages))
+    tb.procexit(pid)
+    return tb.build()
+
+
+def test_verify_matches_reference_on_a_long_chain():
+    """About 200 waves, listed out of first_seq order, with one tie of
+    first_seq and one foreign pair: the linear walk reports what the
+    quadratic specification does, in the same order."""
+    result = collect_waves(chain_trace(200))
+    assert len(result.records) == 201
+    assert verify_wave_semantics(result.records, result.mtrace,
+                                 result.image) == []
+    records = _copy_records(result.records)
+    # wave 51 starts with wave 50's first instruction, so wave 50 is no
+    # longer earlier: its pad byte in wave 51's shadow loses provenance
+    records[51].instrs.insert(0, records[50].instrs[0])
+    pad = records[120].entry_vaddr + 7
+    records[120].shadow_pairs[pad] = records[120].shadow_pairs.get(pad) ^ 0xFF
+    random.Random(1).shuffle(records)
+    for listed in (records, records[::-1]):  # the tie either way round
+        got = [str(v) for v in verify_wave_semantics(listed, result.mtrace,
+                                                     result.image)]
+        assert got == reference_verify_wave_semantics(listed, result.mtrace,
+                                                      result.image)
+        assert [g.split(":")[0] for g in got if g.startswith("bullet 3")] == [
+            f"bullet 3 (pid {MALWARE_PID} wave {r.wave_index})"
+            for r in listed if r.wave_index in (51, 120)]
