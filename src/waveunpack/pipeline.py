@@ -8,7 +8,7 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 from .api_monitor import ApiCallRecord, attribute_calls
@@ -209,14 +209,28 @@ def _pair_chunks(pairs: ByteMap):
     json.dumps(sorted(pairs.items())) gives.
 
     Each batch of up to _BATCH pairs is one bytes % over the flat
-    (v, b, v, b, ...) arguments, so no pair becomes a list.
+    (v, b, v, b, ...) arguments, so no pair becomes a list. A run fills
+    them by slice: its addresses into the even slots, its bytes into the
+    odd ones.
     """
-    flat = chain.from_iterable(pairs.items())
+    args = [0] * (2 * _BATCH)
+    held = 0  # pairs in args
     skip = 2  # the first pair has no ", " before it
     yield b"["
-    while args := tuple(islice(flat, 2 * _BATCH)):
-        yield (_PAIRS[:5 * len(args)] % args)[skip:]
-        skip = 0
+    for start, data in pairs.runs():
+        pos = 0
+        while pos < len(data):
+            take = min(_BATCH - held, len(data) - pos)
+            end = 2 * (held + take)
+            args[2 * held:end:2] = range(start + pos, start + pos + take)
+            args[2 * held + 1:end:2] = data[pos:pos + take]
+            held += take
+            pos += take
+            if held == _BATCH:
+                yield (_PAIRS % tuple(args))[skip:]
+                held = skip = 0
+    if held:
+        yield (_PAIRS[:10 * held] % tuple(args[:2 * held]))[skip:]
     yield b"]"
 
 
@@ -234,9 +248,12 @@ def write_outputs(result: PipelineResult, out_dir, no_timing: bool = False,
     out.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".unpack-", dir=out))
     try:
+        made = set()  # staging directories created so far
         for rel, chunks in _render(result, None if report_path else report):
             path = stage / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
+            if path.parent not in made:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                made.add(path.parent)
             with open(path, "wb") as fh:
                 fh.writelines(chunks)
         old = stage / ".old"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from oracles import reference_scan_refs
 from waveunpack import regroup
 from waveunpack.pipeline import analyze
 from waveunpack.scenario_gen import SCENARIO_IDS, generate_scenario
+from test_golden import random_image_trace
 
 
 class TestDecodeOne:
@@ -142,8 +145,11 @@ def scan_inputs(draw):
         max_size=24))
     data = b"".join(chunks)
     data = data[:max(0, len(data) - draw(st.integers(0, 7)))]
+    # narrow, across 64 KiB blocks, or up to and past 2**32
+    width = st.one_of(st.integers(-4, 300), st.integers(0, 2**18),
+                      st.integers(0, 2**33))
     ranges = draw(st.lists(st.one_of(
-        st.tuples(anchor, st.integers(-4, 300)).map(lambda t: (t[0], t[0] + t[1])),
+        st.tuples(anchor, width).map(lambda t: (t[0], t[0] + t[1])),
         st.just((0, 0))), max_size=6))
     return data, base, ranges
 
@@ -172,6 +178,28 @@ class TestScanEquivalence:
         assert refs == reference_scan_refs(dump, base, ranges)
         assert any(site == base for site, _ in refs) == (length >= len(ins))
 
+    @pytest.mark.parametrize("data,ranges", [
+        # hits at offset 0 and at offset n - 4
+        ((0x401000).to_bytes(4, "little") + b"\x90" * 4
+         + (0x402000).to_bytes(4, "little"), [(0x400000, 0x403000)]),
+        # overlapping hits: 0x40004000 at offset 0, 0x00400040 at offset 1
+        (b"\x00\x40\x00\x40\x00", [(0x400000, 0x500000),
+                                    (0x40000000, 0x40010000)]),
+        (b"", [(0, 2**32)]),
+        (b"\x68", [(0, 2**32)]),
+        (b"\xff\x15", [(0, 2**32)]),
+        (b"\xe8\x00\x00", [(0, 2**32)]),
+        # every range above 2**32: nothing can land in one
+        (b"\xff" * 16 + b"\x68\x00\x00\x00\x00",
+         [(2**32, 2**32 + 0x1000), (2**33, 2**34)]),
+        # every dword of random bytes lands in [0, 2**32)
+        (random.Random(0).randbytes(4096), [(0, 2**32)]),
+    ])
+    def test_table(self, data, ranges):
+        base = 0x400000
+        assert scan_refs(data, base, ranges) == \
+            reference_scan_refs(data, base, ranges)
+
     @pytest.mark.parametrize("scenario", SCENARIO_IDS)
     def test_every_scenario_interval(self, scenario, monkeypatch):
         scanned = []
@@ -185,4 +213,18 @@ class TestScanEquivalence:
         monkeypatch.setattr(regroup, "scan_refs", checked)
         trace, _ = generate_scenario(scenario, 3)
         analyze(trace)
+        assert scanned
+
+    def test_every_random_image_interval(self, monkeypatch):
+        # random image bytes, and candidate ranges in two 64 KiB blocks
+        scanned = []
+
+        def checked(data, base, candidate_ranges):
+            got = scan_refs(data, base, candidate_ranges)
+            assert got == reference_scan_refs(data, base, candidate_ranges)
+            scanned.append(len(data))
+            return got
+
+        monkeypatch.setattr(regroup, "scan_refs", checked)
+        analyze(random_image_trace())
         assert scanned
