@@ -1,4 +1,4 @@
-"""Command line driver: unpack | gen | check | decode."""
+"""Command line driver: unpack | gen | check."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .disasm import DecodeError, decode_one
 from .pe_builder import EmitError, PatchIntegrityError
 from .scenario_gen import UnknownScenarioError, generate_scenario
 from .trace_model import (
@@ -52,10 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="verify a prior unpack output")
     p_check.add_argument("trace")
     p_check.add_argument("out")
-
-    p_dec = sub.add_parser("decode", help="decode one subset instruction")
-    p_dec.add_argument("hex", help="instruction bytes as hex")
-    p_dec.add_argument("--vaddr", type=lambda s: int(s, 0), default=0)
     return parser
 
 
@@ -132,9 +127,14 @@ def cmd_gen(args) -> int:
         return 1
     trace_path = Path(args.out or f"{args.scenario}.jsonl")
     truth_path = Path(args.truth or f"{args.scenario}.truth.json")
-    trace_path.write_bytes(write_trace(trace))
-    truth_path.write_text(json.dumps(truth.to_json(), indent=1, sort_keys=True)
-                          + "\n", encoding="utf-8")
+    try:
+        trace_path.write_bytes(write_trace(trace))
+        truth_path.write_text(json.dumps(truth.to_json(), indent=1,
+                                         sort_keys=True) + "\n",
+                              encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {trace_path} and {truth_path}")
     return 0
 
@@ -172,27 +172,9 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_decode(args) -> int:
-    try:
-        data = bytes.fromhex(args.hex.replace(" ", ""))
-        ins = decode_one(data, args.vaddr)
-    except (ValueError, DecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    refs = []
-    if ins.abs_ref is not None:
-        refs.append(f"abs_ref=0x{ins.abs_ref:x}")
-    if ins.rel_target is not None:
-        refs.append(f"rel_target=0x{ins.rel_target:x}")
-    print(f"{ins.text}  length={ins.length}" +
-          ("  " + " ".join(refs) if refs else ""))
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {"unpack": cmd_unpack, "gen": cmd_gen,
-                "check": cmd_check, "decode": cmd_decode}
+    handlers = {"unpack": cmd_unpack, "gen": cmd_gen, "check": cmd_check}
     return handlers[args.command](args)
 
 

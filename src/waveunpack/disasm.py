@@ -1,116 +1,10 @@
-"""Fixed 32-bit x86 subset decoder and speculative reference scanning.
-
-The subset covers exactly the constructs the pipeline emits and patches:
-immediate pushes and moves, near and short jumps, direct and indirect
-calls, register branches, ror-by-immediate, ret, nop, int3. Everything
-else decodes to an error; speculative scans simply skip those offsets.
-"""
+"""Speculative reference scanning."""
 
 from __future__ import annotations
 
 import re
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
-
-
-class DecodeError(ValueError):
-    pass
-
-
-class UnknownOpcode(DecodeError):
-    pass
-
-
-class Truncated(DecodeError):
-    pass
-
-
-_REG32 = ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi")
-
-
-@dataclass(frozen=True)
-class DecodedInstr:
-    vaddr: int
-    length: int
-    mnemonic: str
-    text: str
-    abs_ref: int | None = None
-    rel_target: int | None = None
-
-
-def _u32(data: bytes, off: int) -> int:
-    return struct.unpack_from("<I", data, off)[0]
-
-
-def _need(data: bytes, n: int):
-    if len(data) < n:
-        raise Truncated(f"need {n} bytes, have {len(data)}")
-
-
-def decode_one(data: bytes, vaddr: int) -> DecodedInstr:
-    """Decode a single instruction at the start of `data`."""
-    _need(data, 1)
-    op = data[0]
-
-    if op == 0x90:
-        return DecodedInstr(vaddr, 1, "nop", "nop")
-    if op == 0xCC:
-        return DecodedInstr(vaddr, 1, "int3", "int3")
-    if op == 0xC3:
-        return DecodedInstr(vaddr, 1, "ret", "ret")
-    if op == 0x68:
-        _need(data, 5)
-        imm = _u32(data, 1)
-        return DecodedInstr(vaddr, 5, "push", f"push 0x{imm:x}", abs_ref=imm)
-    if 0xB8 <= op <= 0xBF:
-        _need(data, 5)
-        imm = _u32(data, 1)
-        reg = _REG32[op - 0xB8]
-        return DecodedInstr(vaddr, 5, "mov", f"mov {reg}, 0x{imm:x}", abs_ref=imm)
-    if op == 0xE8:
-        _need(data, 5)
-        rel = struct.unpack_from("<i", data, 1)[0]
-        target = (vaddr + 5 + rel) & 0xFFFFFFFF
-        return DecodedInstr(vaddr, 5, "call", f"call 0x{target:x}", rel_target=target)
-    if op == 0xE9:
-        _need(data, 5)
-        rel = struct.unpack_from("<i", data, 1)[0]
-        target = (vaddr + 5 + rel) & 0xFFFFFFFF
-        return DecodedInstr(vaddr, 5, "jmp", f"jmp 0x{target:x}", rel_target=target)
-    if op == 0xEB:
-        _need(data, 2)
-        rel = struct.unpack_from("<b", data, 1)[0]
-        target = (vaddr + 2 + rel) & 0xFFFFFFFF
-        return DecodedInstr(vaddr, 2, "jmp", f"jmp 0x{target:x}", rel_target=target)
-    if op == 0xC1:
-        _need(data, 2)
-        if data[1] != 0xC8:
-            raise UnknownOpcode(f"unsupported ModRM {data[1]:#04x} after 0xc1")
-        _need(data, 3)
-        return DecodedInstr(vaddr, 3, "ror", f"ror eax, {data[2]}")
-    if op == 0xFF:
-        _need(data, 2)
-        modrm = data[1]
-        if modrm == 0x15:
-            _need(data, 6)
-            addr = _u32(data, 2)
-            return DecodedInstr(vaddr, 6, "call", f"call dword [0x{addr:x}]",
-                                abs_ref=addr)
-        if modrm == 0x25:
-            _need(data, 6)
-            addr = _u32(data, 2)
-            return DecodedInstr(vaddr, 6, "jmp", f"jmp dword [0x{addr:x}]",
-                                abs_ref=addr)
-        if 0xD0 <= modrm <= 0xD7:
-            reg = _REG32[modrm - 0xD0]
-            return DecodedInstr(vaddr, 2, "call", f"call {reg}")
-        if 0xE0 <= modrm <= 0xE7:
-            reg = _REG32[modrm - 0xE0]
-            return DecodedInstr(vaddr, 2, "jmp", f"jmp {reg}")
-        raise UnknownOpcode(f"unsupported ModRM {modrm:#04x} after 0xff")
-    raise UnknownOpcode(f"opcode {op:#04x} outside subset")
-
 
 _REL_LEADS = re.compile(rb"[\xe8\xe9\xeb]")
 _IMM32_LEADS = frozenset((0x68, *range(0xB8, 0xC0)))  # push imm32, mov r32, imm32
@@ -225,7 +119,7 @@ def scan_refs(data: bytes, base: int, candidate_ranges) -> set[tuple[int, int]]:
             if off + 5 > n:
                 continue
             # unsigned rel32 wraps to the same target as the signed one
-            target = (site + 5 + _u32(data, off + 1)) & 0xFFFFFFFF
+            target = (site + 5 + _U32_AT(data, off + 1)[0]) & 0xFFFFFFFF
         if inside(target):
             refs.add((site, target))
     return refs

@@ -133,12 +133,20 @@ def _place_idata(size: int, intervals: list[Interval]) -> int:
 
 def build_import_table(group: MemoryGroup,
                        calls: list[ApiCallRecord]) -> ImportTable:
-    """One IAT slot per unique function of `calls`, the group's calls."""
+    """One IAT slot per unique function of `calls`, the group's calls.
+
+    Names are stored as NUL-terminated ASCII, so a called function whose
+    module or function name is not ASCII or holds a NUL cannot be imported.
+    """
     table = ImportTable()
     order: dict[str, list[str]] = {}
     for call in sorted(calls, key=lambda c: c.caller_seq):
         fns = order.setdefault(call.module_name, [])
         if call.function_name not in fns:
+            for name in (call.module_name, call.function_name):
+                if not name.isascii() or "\0" in name:
+                    raise EmitError(f"cannot import {call.qualified_name!r}: "
+                                    f"names must be ASCII without NUL")
             fns.append(call.function_name)
     table.entries = list(order.items())
     table.placement_rva = 0

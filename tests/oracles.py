@@ -3,7 +3,7 @@
 Nothing here may import from the production code it checks: the taint
 reference is a set-algebra rewrite of the dataflow rules, the PE reader is a
 from-scratch struct parser, the reference scanner decodes at every byte
-offset with the single-instruction decoder, which has its own table tests,
+offset with the subset decoder defined here, which has its own table tests,
 and the wave references test every byte of every instruction one by one.
 """
 
@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-
-from waveunpack.disasm import DecodeError, decode_one
+from typing import NamedTuple
 
 
 # --- naive two-set taint reference ------------------------------------------
@@ -180,7 +179,63 @@ def read_pe(data: bytes) -> ParsedPe:
     return pe
 
 
-# --- decode-at-every-offset reference scanner -------------------------------
+# --- fixed x86-32 subset decoder and decode-at-every-offset scanner --------
+
+class DecodeError(ValueError):
+    """The bytes are outside the subset, or too few for its instruction."""
+
+
+class Decoded(NamedTuple):
+    length: int
+    mnemonic: str
+    abs_ref: int | None = None
+    rel_target: int | None = None
+
+
+_ONE_BYTE = {0x90: "nop", 0xCC: "int3", 0xC3: "ret"}
+
+
+def _need(data: bytes, n: int) -> None:
+    if len(data) < n:
+        raise DecodeError(f"need {n} bytes, have {len(data)}")
+
+
+def decode(data: bytes, vaddr: int) -> Decoded:
+    """Decode the one instruction at the start of `data`, placed at `vaddr`.
+
+    The subset is what the pipeline emits and patches: push imm32,
+    mov r32 imm32, call/jmp rel32, jmp rel8, call/jmp dword [disp32],
+    call/jmp r32, ror eax imm8, ret, nop and int3.
+    """
+    _need(data, 1)
+    op = data[0]
+    if op in _ONE_BYTE:
+        return Decoded(1, _ONE_BYTE[op])
+    if op == 0x68 or 0xB8 <= op <= 0xBF:
+        _need(data, 5)
+        return Decoded(5, "push" if op == 0x68 else "mov",
+                       abs_ref=struct.unpack_from("<I", data, 1)[0])
+    if op in (0xE8, 0xE9, 0xEB):
+        length, fmt = (2, "<b") if op == 0xEB else (5, "<i")
+        _need(data, length)
+        rel = struct.unpack_from(fmt, data, 1)[0]
+        return Decoded(length, "call" if op == 0xE8 else "jmp",
+                       rel_target=(vaddr + length + rel) & 0xFFFFFFFF)
+    if op == 0xC1 and data[1:2] == b"\xc8":
+        _need(data, 3)
+        return Decoded(3, "ror")
+    if op == 0xFF and len(data) >= 2:
+        modrm = data[1]
+        if modrm in (0x15, 0x25):
+            _need(data, 6)
+            return Decoded(6, "call" if modrm == 0x15 else "jmp",
+                           abs_ref=struct.unpack_from("<I", data, 2)[0])
+        if 0xD0 <= modrm <= 0xD7:
+            return Decoded(2, "call")
+        if 0xE0 <= modrm <= 0xE7:
+            return Decoded(2, "jmp")
+    raise DecodeError(f"{data[:2].hex()} is outside the subset or truncated")
+
 
 def _in_ranges(value: int, ranges) -> bool:
     return any(lo <= value < hi for lo, hi in ranges)
@@ -197,7 +252,7 @@ def reference_scan_refs(data: bytes, base: int,
     for off in range(len(data)):
         site = base + off
         try:
-            ins = decode_one(data[off:off + 6], site)
+            ins = decode(data[off:off + 6], site)
         except DecodeError:
             ins = None
         if ins is not None:

@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import bytemap, random_micro_trace
-from oracles import naive_init, naive_tainted, naive_update, read_pe
-from waveunpack.disasm import decode_one
+from oracles import decode, naive_init, naive_tainted, naive_update, read_pe
 from waveunpack.pe_builder import build_artifact
 from waveunpack.pipeline import analyze, write_outputs
 from waveunpack.regroup import group_wave
@@ -235,7 +234,7 @@ def test_criterion_7_pe_validity(pe_sample):
                 continue
             patched_sites += 1
             site = pe.read_va(entry["caller_vaddr"], entry["len"])
-            ins = decode_one(site, entry["caller_vaddr"])
+            ins = decode(site, entry["caller_vaddr"])
             assert ins.length == 6 and ins.mnemonic in ("call", "jmp")
             assert ins.abs_ref == entry["slot_rva"]
             dll, fn = pe.iat_slots[ins.abs_ref]

@@ -49,6 +49,17 @@ class TestGen:
         assert main(["gen", "zz"]) == 1
         assert "unknown scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["-o", "--truth"])
+    def test_unwritable_path_exits_1(self, option, tmp_path, capsys):
+        paths = {"-o": str(tmp_path / "d1.jsonl"),
+                 "--truth": str(tmp_path / "d1.truth.json")}
+        paths[option] = str(tmp_path / "missing" / "x")
+        assert main(["gen", "d1", "-o", paths["-o"],
+                     "--truth", paths["--truth"]]) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and str(tmp_path / "missing") in err
+        assert "Traceback" not in err
+
 
 class TestUnpack:
     def test_d1_end_to_end(self, d1_files, tmp_path, capsys):
@@ -752,20 +763,52 @@ class TestTraceFuzz:
             assert "Traceback" not in stderr.getvalue()
 
 
-class TestDecode:
-    def test_prints_refs(self, capsys):
-        assert main(["decode", "ff1500100000"]) == 0
-        out = capsys.readouterr().out
-        assert "call dword [0x1000]" in out
-        assert "length=6" in out
-        assert "abs_ref=0x1000" in out
+def test_decode_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "ff1500100000"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'decode'" in capsys.readouterr().err
 
-    def test_relative_target_uses_vaddr(self, capsys):
-        assert main(["decode", "e8fbffffff", "--vaddr", "0x500000"]) == 0
-        assert "rel_target=0x500000" in capsys.readouterr().out
 
-    def test_unknown_opcode_exits_1(self, capsys):
-        assert main(["decode", "0f05"]) == 1
+def _rename_in_modules(trace: Path, old: str, new: str) -> None:
+    """Rename module `old`, or export `old` of every module, to `new`."""
+    lines = trace.read_text().splitlines(keepends=True)
+    for number, line in enumerate(lines):
+        obj = json.loads(line)
+        if obj.get("kind") != "module":
+            continue
+        if obj["name"] == old:
+            obj["name"] = new
+        for export in obj["exports"]:
+            if export["name"] == old:
+                export["name"] = new
+        lines[number] = json.dumps(obj) + "\n"
+    trace.write_text("".join(lines))
 
-    def test_bad_hex_exits_1(self, capsys):
-        assert main(["decode", "zz"]) == 1
+
+class TestImportNames:
+    @pytest.mark.parametrize("command", ["unpack", "check"])
+    @pytest.mark.parametrize("old,new,qualified", [
+        ("GetModuleHandleA", "GetModuleHandle\u00e9",
+         "'kernel32!GetModuleHandle\u00e9'"),
+        ("kernel32", "k\u00e9rnel32", "'k\u00e9rnel32!GetModuleHandleA'"),
+        ("GetModuleHandleA", "GetModule\0HandleA",
+         "'kernel32!GetModule\\x00HandleA'"),
+    ])
+    def test_called_name_outside_ascii_exits_2(self, command, old, new,
+                                               qualified, d1_files, tmp_path,
+                                               capsys):
+        trace, _ = d1_files
+        _rename_in_modules(trace, old, new)
+        assert _run(command, trace, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot import {qualified}: names must be ASCII " \
+               f"without NUL" in err
+        assert "Traceback" not in err
+
+    def test_uncalled_name_outside_ascii_unpacks(self, d1_files, tmp_path):
+        trace, _ = d1_files
+        _rename_in_modules(trace, "Sleep", "Sl\u00e9ep\0")
+        out = tmp_path / "out"
+        assert _run("unpack", trace, out) == 0
+        assert _run("check", trace, out) == 0

@@ -6,61 +6,67 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveunpack.disasm import (
-    DecodedInstr,
-    Truncated,
-    UnknownOpcode,
-    decode_one,
-    scan_refs,
-)
-from oracles import reference_scan_refs
+from waveunpack.disasm import scan_refs
+from oracles import Decoded, DecodeError, decode, reference_scan_refs
 from waveunpack import regroup
 from waveunpack.pipeline import analyze
 from waveunpack.scenario_gen import SCENARIO_IDS, generate_scenario
 from test_golden import random_image_trace
 
 
+# every subset instruction, as (bytes, vaddr, mnemonic, length, abs_ref,
+# rel_target)
+_SUBSET = [
+    (b"\xff\x15\x00\x10\x00\x00", 0x5300010, "call", 6, 0x1000, None),
+    (b"\xff\x25\x34\x12\x00\x00", 0x5300010, "jmp", 6, 0x1234, None),
+    (b"\xe8\xfb\xff\xff\xff", 0x500000, "call", 5, None, 0x500000),
+    (b"\xe9\x00\x01\x00\x00", 0x500000, "jmp", 5, None, 0x500105),
+    (b"\xeb\xfe", 0x500000, "jmp", 2, None, 0x500000),
+    (b"\x68\x00\x00\x20\x06", 0x400000, "push", 5, 0x6200000, None),
+    (b"\xb8\x78\x56\x34\x12", 0x400000, "mov", 5, 0x12345678, None),
+    (b"\xbf\x01\x00\x00\x00", 0x400000, "mov", 5, 1, None),
+    (b"\xff\xd0", 0x400000, "call", 2, None, None),
+    (b"\xff\xd7", 0x400000, "call", 2, None, None),
+    (b"\xff\xe0", 0x400000, "jmp", 2, None, None),
+    (b"\xc1\xc8\x0d", 0x400000, "ror", 3, None, None),
+    (b"\xc3", 0x400000, "ret", 1, None, None),
+    (b"\x90", 0x400000, "nop", 1, None, None),
+    (b"\xcc", 0x400000, "int3", 1, None, None),
+]
+
+
 class TestDecodeOne:
-    @pytest.mark.parametrize("data,vaddr,mnemonic,length,abs_ref,rel_target", [
-        (b"\xff\x15\x00\x10\x00\x00", 0x5300010, "call", 6, 0x1000, None),
-        (b"\xff\x25\x34\x12\x00\x00", 0x5300010, "jmp", 6, 0x1234, None),
-        (b"\xe8\xfb\xff\xff\xff", 0x500000, "call", 5, None, 0x500000),
-        (b"\xe9\x00\x01\x00\x00", 0x500000, "jmp", 5, None, 0x500105),
-        (b"\xeb\xfe", 0x500000, "jmp", 2, None, 0x500000),
-        (b"\x68\x00\x00\x20\x06", 0x400000, "push", 5, 0x6200000, None),
-        (b"\xb8\x78\x56\x34\x12", 0x400000, "mov", 5, 0x12345678, None),
-        (b"\xbf\x01\x00\x00\x00", 0x400000, "mov", 5, 1, None),
-        (b"\xff\xd0", 0x400000, "call", 2, None, None),
-        (b"\xff\xd7", 0x400000, "call", 2, None, None),
-        (b"\xff\xe0", 0x400000, "jmp", 2, None, None),
-        (b"\xc1\xc8\x0d", 0x400000, "ror", 3, None, None),
-        (b"\xc3", 0x400000, "ret", 1, None, None),
-        (b"\x90", 0x400000, "nop", 1, None, None),
-        (b"\xcc", 0x400000, "int3", 1, None, None),
-    ])
+    """The oracle decoder that reference_scan_refs decodes with."""
+
+    @pytest.mark.parametrize("data,vaddr,mnemonic,length,abs_ref,rel_target",
+                             _SUBSET)
     def test_table(self, data, vaddr, mnemonic, length, abs_ref, rel_target):
-        ins = decode_one(data, vaddr)
-        assert ins == DecodedInstr(vaddr, length, mnemonic, ins.text,
-                                   abs_ref=abs_ref, rel_target=rel_target)
+        assert decode(data, vaddr) == Decoded(length, mnemonic, abs_ref,
+                                              rel_target)
 
     def test_unknown_opcode(self):
-        with pytest.raises(UnknownOpcode):
-            decode_one(b"\x0f\x05", 0)
+        with pytest.raises(DecodeError):
+            decode(b"\x0f\x05", 0)
 
     def test_unknown_modrm(self):
-        with pytest.raises(UnknownOpcode):
-            decode_one(b"\xff\x95\x40\x00\x00\x00", 0)
+        for data in (b"\xff\x95\x40\x00\x00\x00",  # call [ebp+disp32]
+                     b"\xff\xd8",  # between the call r32 and jmp r32 rows
+                     b"\xff\xcf",  # just below call r32
+                     b"\xff\xe8",  # just above jmp r32
+                     b"\xc1\xc0\x0d"):  # rol, not ror
+            with pytest.raises(DecodeError):
+                decode(data, 0)
 
     def test_truncated(self):
-        with pytest.raises(Truncated):
-            decode_one(b"\xe8\x01\x02", 0)
-        with pytest.raises(Truncated):
-            decode_one(b"", 0)
+        with pytest.raises(DecodeError):
+            decode(b"\xe8\x01\x02", 0)
+        with pytest.raises(DecodeError):
+            decode(b"", 0)
 
-    def test_register_names(self):
-        assert decode_one(b"\xff\xd3", 0).text == "call ebx"
-        assert decode_one(b"\xff\xe6", 0).text == "jmp esi"
-        assert decode_one(b"\xbb\x00\x00\x00\x00", 0).text.startswith("mov ebx")
+    @pytest.mark.parametrize("data", [row[0] for row in _SUBSET])
+    def test_truncated_by_one(self, data):
+        with pytest.raises(DecodeError):
+            decode(data[:-1], 0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.binary(min_size=6, max_size=12), st.binary(min_size=0, max_size=6),
@@ -68,12 +74,12 @@ class TestDecodeOne:
     def test_prefix_stability(self, head, tail, vaddr):
         # decoding depends on at most the first six bytes
         try:
-            a = decode_one(head, vaddr)
-        except UnknownOpcode:
-            with pytest.raises(UnknownOpcode):
-                decode_one(head + tail, vaddr)
+            a = decode(head, vaddr)
+        except DecodeError:
+            with pytest.raises(DecodeError):
+                decode(head + tail, vaddr)
             return
-        b = decode_one(head + tail, vaddr)
+        b = decode(head + tail, vaddr)
         assert a == b
 
 

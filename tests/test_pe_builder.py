@@ -6,9 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import read_pe
+from oracles import decode, read_pe
 from waveunpack.api_monitor import ApiCallRecord
-from waveunpack.disasm import decode_one
 from waveunpack.pe_builder import (
     EmitError,
     PatchIntegrityError,
@@ -99,7 +98,7 @@ class TestPatch:
         old = b"\xff\x15\x78\x56\x34\x12"
         group, call, table = self._make(old)
         patched, sidecar = patch_branches(group, [call], table)
-        ins = decode_one(patched[0][0x10:0x16], 0x5300010)
+        ins = decode(patched[0][0x10:0x16], 0x5300010)
         assert ins.mnemonic == "call"
         assert ins.abs_ref == table.slots[("kernel32", "GetModuleHandleA")]
         assert sidecar[0]["patched"] is True
@@ -114,7 +113,7 @@ class TestPatch:
         old = b"\xff\x95\x40\x00\x00\x00"
         group, call, table = self._make(old)
         patched, sidecar = patch_branches(group, [call], table)
-        ins = decode_one(patched[0][0x10:0x16], 0x5300010)
+        ins = decode(patched[0][0x10:0x16], 0x5300010)
         assert (ins.mnemonic, ins.length) == ("call", 6)
         assert sidecar[0]["patched"] is True
 
@@ -196,7 +195,7 @@ class TestEmit:
         art = self._artifact()
         pe = read_pe(art.data)
         site = pe.read_va(0x5300000, 6)
-        ins = decode_one(site, 0x5300000)
+        ins = decode(site, 0x5300000)
         assert pe.iat_slots[ins.abs_ref] == ("kernel32", "GetModuleHandleA")
 
     def test_overlapping_sections_rejected(self):
