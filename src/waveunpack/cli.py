@@ -127,12 +127,17 @@ def cmd_gen(args) -> int:
         return 1
     trace_path = Path(args.out or f"{args.scenario}.jsonl")
     truth_path = Path(args.truth or f"{args.scenario}.truth.json")
+    truth_doc = json.dumps(truth.to_json(), indent=1, sort_keys=True) + "\n"
+    written = []  # files opened for writing, removed if a write fails
     try:
-        trace_path.write_bytes(write_trace(trace))
-        truth_path.write_text(json.dumps(truth.to_json(), indent=1,
-                                         sort_keys=True) + "\n",
-                              encoding="utf-8")
+        for path, data in ((trace_path, write_trace(trace)),
+                           (truth_path, truth_doc.encode())):
+            with open(path, "wb") as fh:
+                written.append(path)
+                fh.write(data)
     except OSError as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {trace_path} and {truth_path}")

@@ -11,8 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from .api_monitor import ApiCallRecord
-from .regroup import Interval, MemoryGroup
+from .regroup import Interval, MemoryGroup, holder
 
 PAGE = 0x1000
 FILE_ALIGN = 0x200
@@ -131,16 +130,15 @@ def _place_idata(size: int, intervals: list[Interval]) -> int:
     return rva
 
 
-def build_import_table(group: MemoryGroup,
-                       calls: list[ApiCallRecord]) -> ImportTable:
-    """One IAT slot per unique function of `calls`, the group's calls.
+def build_import_table(group: MemoryGroup) -> ImportTable:
+    """One IAT slot per unique function of the group's calls.
 
     Names are stored as NUL-terminated ASCII, so a called function whose
     module or function name is not ASCII or holds a NUL cannot be imported.
     """
     table = ImportTable()
     order: dict[str, list[str]] = {}
-    for call in sorted(calls, key=lambda c: c.caller_seq):
+    for call in group.calls:
         fns = order.setdefault(call.module_name, [])
         if call.function_name not in fns:
             for name in (call.module_name, call.function_name):
@@ -156,42 +154,35 @@ def build_import_table(group: MemoryGroup,
     return table
 
 
-def patch_branches(group: MemoryGroup, calls: list[ApiCallRecord],
-                   table: ImportTable,
+def patch_branches(group: MemoryGroup, table: ImportTable,
                    enable: bool = True) -> tuple[list[bytes], list[dict]]:
     """Retarget 6-byte call/jmp sites at the rebuilt IAT, sidecar the rest.
 
     Six bytes fit an indirect-absolute form in place, so those sites become
-    FF 15 / FF 25 through the new slot; shorter sites cannot be rewritten
-    without moving code and are only recorded.
+    FF 15 / FF 25 through the new slot when all six lie in the interval
+    holding the site; shorter sites, and sites running onto a page the wave
+    never dumped, cannot be rewritten in place and are only recorded.
     """
-    bufs = {iv.base: bytearray(iv.bytes) for iv in group.intervals}
-
-    def interval_for(vaddr, length):
-        for iv in group.intervals:
-            if iv.contains(vaddr) and iv.contains(vaddr + length - 1):
-                return iv
-        return None
-
+    bufs = [bytearray(iv.bytes) for iv in group.intervals]
     sidecar = []
     seen_sites = set()
-    for call in sorted(calls, key=lambda c: c.caller_seq):
-        iv = interval_for(call.caller_vaddr, call.caller_len)
-        if iv is None:
-            continue
+    for call in group.calls:
         if call.caller_vaddr in seen_sites:
             continue
         seen_sites.add(call.caller_vaddr)
-        buf = bufs[iv.base]
-        off = call.caller_vaddr - iv.base
-        current = bytes(buf[off:off + call.caller_len])
-        if current != call.caller_bytes:
+        i = holder(group.intervals, call.caller_vaddr)
+        buf = bufs[i]
+        off = call.caller_vaddr - group.intervals[i].base
+        # the site's bytes up to the interval's end, the ones dumped
+        dumped = bytes(buf[off:off + call.caller_len])
+        if dumped != call.caller_bytes[:len(dumped)]:
             raise PatchIntegrityError(
                 f"dump/trace mismatch at {call.caller_vaddr:#x}: "
-                f"dump {current.hex()} vs trace {call.caller_bytes.hex()}")
+                f"dump {dumped.hex()} vs trace {call.caller_bytes.hex()}")
         slot = table.slots[(call.module_name, call.function_name)]
         patched = False
-        if enable and call.caller_len == 6 and call.btype in ("call", "jmp"):
+        if (enable and len(dumped) == call.caller_len == 6
+                and call.btype in ("call", "jmp")):
             opcode = 0x15 if call.btype == "call" else 0x25
             buf[off:off + 6] = bytes((0xFF, opcode)) + struct.pack("<I", slot)
             patched = True
@@ -202,8 +193,7 @@ def patch_branches(group: MemoryGroup, calls: list[ApiCallRecord],
             "slot_rva": slot,
             "patched": patched,
         })
-    patched_bytes = [bytes(bufs[iv.base]) for iv in group.intervals]
-    return patched_bytes, sidecar
+    return [bytes(buf) for buf in bufs], sidecar
 
 
 def write_sidecar(api_entries: list[dict],
@@ -225,7 +215,6 @@ class SectionSpec:
 @dataclass
 class PEArtifact:
     group: MemoryGroup
-    entry_rva: int
     import_table: ImportTable
     data: bytes
     sections: list[SectionSpec]
@@ -314,15 +303,13 @@ def emit_pe(sections: list[SectionSpec], table: ImportTable,
     return bytes(out)
 
 
-def build_artifact(group: MemoryGroup, calls: list[ApiCallRecord],
-                   patch: bool = True) -> PEArtifact:
+def build_artifact(group: MemoryGroup, patch: bool = True) -> PEArtifact:
     """Run the full static stage for one kept memory group, entering it
     at `group.entry`."""
-    group_calls = [c for c in calls if group.contains(c.caller_vaddr)]
-    table = build_import_table(group, group_calls)
-    patched, api_entries = patch_branches(group, group_calls, table, enable=patch)
+    table = build_import_table(group)
+    patched, api_entries = patch_branches(group, table, enable=patch)
     sections = layout_sections(group, table, patched)
-    return PEArtifact(group=group, entry_rva=group.entry, import_table=table,
+    return PEArtifact(group=group, import_table=table,
                       data=emit_pe(sections, table, group.entry),
                       sections=sections,
                       sidecar=write_sidecar(api_entries, group.xrefs))

@@ -57,10 +57,9 @@ def analyze(trace: SystemTrace, patch: bool = True,
 
     outputs = []
     for rec in collect.records:
-        grouping = group_wave(rec, trace.page_size)
-        calls = per_wave[(rec.pid, rec.wave_index)]
-        artifacts = [build_artifact(grp, calls, patch=patch)
-                     for grp in grouping.kept]
+        grouping = group_wave(rec, trace.page_size,
+                              per_wave[(rec.pid, rec.wave_index)])
+        artifacts = [build_artifact(grp, patch=patch) for grp in grouping.kept]
         outputs.append(WaveOutput(record=rec, grouping=grouping,
                                   artifacts=artifacts))
 
@@ -89,7 +88,7 @@ def build_report(result: PipelineResult, elapsed: float | None = None) -> dict:
             groups.append({
                 "group": gi,
                 "intervals": [[iv.base, iv.end] for iv in art.group.intervals],
-                "entry": art.entry_rva,
+                "entry": art.group.entry,
                 "sections": len(art.sections),
                 "iat_size": art.import_table.unique_count,
                 "patched_sites": sum(1 for e in art.sidecar
@@ -142,7 +141,7 @@ def build_report(result: PipelineResult, elapsed: float | None = None) -> dict:
 
 
 # the directory names an unpack gives processes and waves
-_PID_NAME = re.compile(r"pid(\d+)")
+_PID_NAME = re.compile(r"pid(-?\d+)")
 _WAVE_NAME = re.compile(r"wave(\d+)")
 # names an unpack writes at the top of its output directory
 _OWNED_NAME = re.compile(rf"api_calls\.jsonl|report\.json|{_PID_NAME.pattern}")

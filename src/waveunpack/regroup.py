@@ -2,8 +2,11 @@
 
 A wave's intervals are the maximal runs of adjacent pages it dumped.
 Intervals referencing each other (speculative scan) merge transitively into
-groups, one future PE file per group. A group's entry is the first address
-the wave executed inside it; groups without one are dropped and reported.
+groups, one future PE file per group. `holder` decides which interval
+holds an address, for references, entries and calls alike. A group's entry
+is the first address the wave executed inside it; groups without one are
+dropped and reported. A call belongs to the group holding its first byte,
+and is patched only when its 6 bytes lie in that one interval.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from .api_monitor import ApiCallRecord
 from .disasm import scan_refs
 from .wave_collector import WaveRecord
 
@@ -23,12 +27,13 @@ class Interval:
     end: int  # exclusive
     bytes: bytes
 
-    def contains(self, vaddr: int) -> bool:
-        return self.base <= vaddr < self.end
 
-    @property
-    def range(self) -> tuple[int, int]:
-        return (self.base, self.end)
+def holder(intervals: list[Interval], vaddr: int) -> int | None:
+    """Index of the interval holding `vaddr`, or None. `intervals` are
+    disjoint and sorted by base, so only the last one starting at or below
+    `vaddr` can hold it."""
+    i = bisect_right(intervals, vaddr, key=lambda iv: iv.base) - 1
+    return i if i >= 0 and vaddr < intervals[i].end else None
 
 
 @dataclass
@@ -37,25 +42,14 @@ class MemoryGroup:
     xrefs: set[tuple[int, int]] = field(default_factory=set)
     # first executed address inside the group; None if it executed nothing
     entry: int | None = None
-
-    def contains(self, vaddr: int) -> bool:
-        return any(iv.contains(vaddr) for iv in self.intervals)
+    # the wave's calls whose first byte the group holds, in detection order
+    calls: list[ApiCallRecord] = field(default_factory=list)
 
 
 def merge_groups(intervals: list[Interval],
                  refs: set[tuple[int, int]]) -> list[MemoryGroup]:
     """Merge intervals into connected components under cross-referencing."""
     intervals = sorted(intervals, key=lambda iv: iv.base)
-    bases = [iv.base for iv in intervals]
-
-    def owner(addr: int) -> int | None:
-        # intervals are disjoint, so only the last one starting at or
-        # below addr can hold it
-        i = bisect_right(bases, addr) - 1
-        if i >= 0 and intervals[i].contains(addr):
-            return i
-        return None
-
     parent = list(range(len(intervals)))
 
     def find(i):
@@ -71,7 +65,7 @@ def merge_groups(intervals: list[Interval],
 
     ref_owners = []
     for site, target in refs:
-        src, dst = owner(site), owner(target)
+        src, dst = holder(intervals, site), holder(intervals, target)
         if src is not None and dst is not None:
             union(src, dst)
         ref_owners.append((site, target, src))
@@ -93,19 +87,13 @@ class WaveGrouping:
     kept: list[MemoryGroup]
     dropped: list[MemoryGroup]
     refs: set[tuple[int, int]]
-    page_size: int
-
-    @property
-    def dropped_pages(self) -> list[int]:
-        pages = []
-        for grp in self.dropped:
-            for iv in grp.intervals:
-                pages.extend(range(iv.base, iv.end, self.page_size))
-        return sorted(pages)
+    dropped_pages: list[int]  # bases of the dropped groups' pages, ascending
 
 
-def group_wave(wave: WaveRecord, page_size: int) -> WaveGrouping:
-    """Cut a wave's dumps into intervals, merge them, keep what executed."""
+def group_wave(wave: WaveRecord, page_size: int,
+               calls: list[ApiCallRecord]) -> WaveGrouping:
+    """Cut a wave's dumps into intervals, merge them, keep what executed,
+    and give each group the `calls` whose first byte it holds."""
     runs: list[list[int]] = []
     for base in sorted(wave.page_dumps):
         if runs and runs[-1][-1] + page_size == base:
@@ -118,13 +106,32 @@ def group_wave(wave: WaveRecord, page_size: int) -> WaveGrouping:
 
     refs: set[tuple[int, int]] = set()
     for iv in intervals:
-        candidates = [other.range for other in intervals if other is not iv]
+        candidates = [(o.base, o.end) for o in intervals if o is not iv]
         refs |= scan_refs(iv.bytes, iv.base, candidates)
 
-    kept, dropped = [], []
-    # distinct executed addresses in first-execution order
-    executed = dict.fromkeys(ref.vaddr for ref in wave.instrs)
-    for grp in merge_groups(intervals, refs):
-        grp.entry = next((v for v in executed if grp.contains(v)), None)
-        (dropped if grp.entry is None else kept).append(grp)
-    return WaveGrouping(kept=kept, dropped=dropped, refs=refs, page_size=page_size)
+    groups = merge_groups(intervals, refs)
+    group_of = {iv.base: grp for grp in groups for iv in grp.intervals}
+
+    def group_holding(vaddr: int) -> MemoryGroup | None:
+        i = holder(intervals, vaddr)
+        return None if i is None else group_of[intervals[i].base]
+
+    # distinct executed addresses in first-execution order, until every
+    # group has its entry
+    unentered = len(groups)
+    for vaddr in dict.fromkeys(ref.vaddr for ref in wave.instrs):
+        if (grp := group_holding(vaddr)) is not None and grp.entry is None:
+            grp.entry = vaddr
+            unentered -= 1
+            if not unentered:
+                break
+    for call in calls:
+        if (grp := group_holding(call.caller_vaddr)) is not None:
+            grp.calls.append(call)
+
+    kept = [grp for grp in groups if grp.entry is not None]
+    dropped = [grp for grp in groups if grp.entry is None]
+    return WaveGrouping(
+        kept=kept, dropped=dropped, refs=refs,
+        dropped_pages=sorted(page for grp in dropped for iv in grp.intervals
+                             for page in range(iv.base, iv.end, page_size)))

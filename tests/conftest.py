@@ -22,6 +22,12 @@ def bytemap(pairs: dict[int, int]) -> ByteMap:
     return bmap
 
 
+def holds(grp, vaddr: int) -> bool:
+    """Whether one of a memory group's intervals spans `vaddr`, written out
+    here rather than asked of the lookup under test."""
+    return any(iv.base <= vaddr < iv.end for iv in grp.intervals)
+
+
 class MicroSpace:
     """Fixed frame table for randomized micro-traces: g derives from (pid, v).
 

@@ -190,9 +190,9 @@ def test_criterion_6_page_grouping_worked_example():
                       shadow_pairs=bytemap(shadow), twrite_pairs=ByteMap(),
                       page_dumps=dumps)
 
-    grouping = group_wave(wave, page)
+    grouping = group_wave(wave, page, [])
     assert len(grouping.kept) == 1
-    art = build_artifact(grouping.kept[0], [])
+    art = build_artifact(grouping.kept[0])
     pe = read_pe(art.data)
     assert [(s.name, s.vaddr) for s in pe.sections] == \
         [(".idata", 0x1000), (".wseg0", 0x5300000), (".wseg1", 0x6200000)]
@@ -224,7 +224,7 @@ def test_criterion_7_pe_validity(pe_sample):
         want_sections = [(s.name, s.rva) for s in art.sections]
         assert sorted(got_sections, key=lambda s: s[1]) == \
             sorted(want_sections, key=lambda s: s[1])
-        assert pe.entry == art.entry_rva
+        assert pe.entry == art.group.entry
 
         want_imports = {dll: fns for dll, fns in art.import_table.entries}
         assert pe.imports == want_imports

@@ -60,6 +60,13 @@ class TestGen:
         assert "error: " in err and str(tmp_path / "missing") in err
         assert "Traceback" not in err
 
+    def test_failed_truth_write_removes_the_trace(self, tmp_path, capsys):
+        trace = tmp_path / "g.jsonl"
+        assert main(["gen", "d1", "-o", str(trace),
+                     "--truth", str(tmp_path / "missing" / "x.json")]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestUnpack:
     def test_d1_end_to_end(self, d1_files, tmp_path, capsys):
@@ -235,6 +242,39 @@ class TestOutputDirectory:
         assert main(["unpack", str(trace), "-o", str(out),
                      "--report", str(out / "report.json")]) == 0
         assert json.loads((out / "report.json").read_text())["summary"]
+
+    def test_negative_pid_tree_is_owned(self, tmp_path, capsys):
+        # an unpack names the process pid-100; a rerun replaces that tree
+        # and check sees a stray file in it
+        trace, out = tmp_path / "t.jsonl", tmp_path / "out"
+        _write_negative_pid_trace(trace)
+        for _ in range(2):
+            assert main(["unpack", str(trace), "-o", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["api_calls.jsonl", "pid-100", "report.json"]
+        assert main(["check", str(trace), str(out)]) == 0
+        (out / "pid-100" / "wave0" / "stray.txt").write_text("x")
+        capsys.readouterr()
+        assert main(["check", str(trace), str(out)]) == 1
+        assert capsys.readouterr().out == \
+            "integrity: pid-100/wave0/stray.txt: not rendered\n"
+
+
+def _write_negative_pid_trace(path):
+    """d1 at seed 0 with the malware's pid 100 changed to -100."""
+    trace, _ = generate_scenario("d1", 0)
+
+    def pid(value):
+        return -100 if value == 100 else value
+
+    def locs(held):
+        return tuple(loc._replace(space_pid=pid(loc.space_pid))
+                     for loc in held)
+
+    events = [dataclasses.replace(ev, pid=pid(ev.pid), reads=locs(ev.reads),
+                                  writes=locs(ev.writes))
+              for ev in trace.events]
+    path.write_bytes(write_trace(dataclasses.replace(trace, events=events)))
 
 
 def _typed_trace() -> list[dict]:

@@ -6,7 +6,7 @@ import random
 import struct
 import tracemalloc
 
-from conftest import bytemap
+from conftest import bytemap, holds
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import read_pe
@@ -69,8 +69,27 @@ class TestStaticStage:
         for out in result.outputs:
             for art in out.artifacts:
                 hits = [r for r in out.record.instrs
-                        if art.group.contains(r.vaddr)]
-                assert art.entry_rva == hits[0].vaddr
+                        if holds(art.group, r.vaddr)]
+                assert art.group.entry == hits[0].vaddr
+
+    def test_call_running_onto_undumped_page_is_imported_unpatched(self):
+        # a 6-byte call whose last two bytes lie on a page never dumped
+        tb = TraceBuilder()
+        image = tb.image_region(MALWARE_PID, 0x400000)
+        site = b"\xff\x15\x00\x10\x40\x00"
+        tb.module(MALWARE_PID, 0x77000000, "kernel32", {"ExitProcess": 0x100})
+        tb.emit_image(image, b"\x90" + bytes(PAGE - 5) + site[:4], "one.exe")
+        tb.instr(MALWARE_PID, TID, 0x400000, image.g, b"\x90")
+        tb.instr(MALWARE_PID, TID, 0x400FFC, image.g + 0xFFC, site,
+                 branch=Branch(0x77000100, "call"))
+        tb.procexit(MALWARE_PID)
+        result = analyze(tb.build())
+        group = result.report["processes"][0]["waves"][0]["groups"][0]
+        assert (group["iat_size"], group["sidecar_entries"],
+                group["patched_sites"]) == (1, 1, 0)
+        api = [e for e in result.outputs[0].artifacts[0].sidecar
+               if e["kind"] == "api"]
+        assert [(e["len"], e["patched"]) for e in api] == [(6, False)]
 
     def test_final_wave_is_latest_by_sequence(self):
         trace, _ = generate_scenario("m1", 5)

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import bytemap
+from conftest import bytemap, holds
+from oracles import read_pe
+from waveunpack.api_monitor import ApiCallRecord
 from waveunpack.regroup import Interval, group_wave, merge_groups
 from waveunpack.wave_collector import InstrRef, WaveRecord
 
@@ -17,6 +19,14 @@ def _wave(instrs, dumps, shadow=None, twrites=None, pid=1):
 
 def _ref(seq, vaddr, code=b"\x90"):
     return InstrRef(seq=seq, pid=1, vaddr=vaddr, bytes=code)
+
+
+def _call(seq, vaddr):
+    """A 6-byte call made from the site at `vaddr`."""
+    return ApiCallRecord(caller_seq=seq, caller_vaddr=vaddr,
+                         caller_bytes=bytes(6), pid=1, tid=1,
+                         target_vaddr=0x77000000, module_name="kernel32",
+                         function_name="ExitProcess", return_address=None)
 
 
 class TestMergeGroups:
@@ -93,19 +103,19 @@ class TestGroupWave:
     def test_absorbs_contiguous_dumps(self):
         dumps = {p: bytes(PAGE) for p in
                  (0x5300000, 0x5301000, 0x5302000, 0x5303000)}
-        grouping = group_wave(_wave([_ref(1, 0x5300010)], dumps), PAGE)
+        grouping = group_wave(_wave([_ref(1, 0x5300010)], dumps), PAGE, [])
         assert _spans(grouping.kept) == [[(0x5300000, 0x5304000)]]
         assert grouping.dropped == []
 
     def test_gap_splits_intervals(self):
         dumps = {0x5305000: bytes(PAGE), 0x5300000: bytes(PAGE)}
-        grouping = group_wave(_wave([_ref(1, 0x5300010)], dumps), PAGE)
+        grouping = group_wave(_wave([_ref(1, 0x5300010)], dumps), PAGE, [])
         assert _spans(grouping.kept) == [[(0x5300000, 0x5301000)]]
         assert _spans(grouping.dropped) == [[(0x5305000, 0x5306000)]]
 
     def test_interval_bytes_concatenate_pages(self):
         dumps = {0x5301000: b"B" * PAGE, 0x5300000: b"A" * PAGE}
-        grouping = group_wave(_wave([_ref(1, 0x5300010)], dumps), PAGE)
+        grouping = group_wave(_wave([_ref(1, 0x5300010)], dumps), PAGE, [])
         assert grouping.kept[0].intervals[0].bytes == \
             b"A" * PAGE + b"B" * PAGE
 
@@ -113,11 +123,11 @@ class TestGroupWave:
         # a jmp whose last three bytes lie on a page the wave never dumped
         wave = _wave([_ref(1, 0x5300FFE, b"\xe9\x00\x00\x00\x00")],
                      {0x5300000: bytes(PAGE)})
-        grouping = group_wave(wave, PAGE)
+        grouping = group_wave(wave, PAGE, [])
         assert _spans(grouping.kept) == [[(0x5300000, 0x5301000)]]
 
     def test_fig4_grouping(self):
-        grouping = group_wave(_fig4_wave(), PAGE)
+        grouping = group_wave(_fig4_wave(), PAGE, [])
         assert len(grouping.kept) == 1
         spans = [(iv.base, iv.end) for iv in grouping.kept[0].intervals]
         assert spans == [(0x5300000, 0x5304000), (0x6200000, 0x6202000)]
@@ -136,19 +146,18 @@ class TestGroupWave:
         res = analyze(trace)
         for out in res.outputs:
             for ref in out.record.instrs:
-                owners = [g for g in out.grouping.kept if g.contains(ref.vaddr)]
+                owners = [g for g in out.grouping.kept if holds(g, ref.vaddr)]
                 assert len(owners) == 1
 
     def test_closure_soundness_no_refs_leave_groups(self):
         from waveunpack.disasm import scan_refs
 
-        grouping = group_wave(_fig4_wave(), PAGE)
+        grouping = group_wave(_fig4_wave(), PAGE, [])
         for grp in grouping.kept + grouping.dropped:
-            inside = [iv.range for iv in grp.intervals]
             outside = []
             for other in grouping.kept + grouping.dropped:
                 if other is not grp:
-                    outside.extend(iv.range for iv in other.intervals)
+                    outside.extend((iv.base, iv.end) for iv in other.intervals)
             for iv in grp.intervals:
                 assert scan_refs(iv.bytes, iv.base, outside) == set()
 
@@ -159,21 +168,32 @@ class TestGroupEntry:
         # executed later are both passed over
         wave = _wave([_ref(4, 0x6200010), _ref(7, 0x5300020),
                       _ref(8, 0x5300000)], {0x5300000: bytes(PAGE)})
-        grouping = group_wave(wave, PAGE)
+        grouping = group_wave(wave, PAGE, [])
         assert [grp.entry for grp in grouping.kept] == [0x5300020]
 
     def test_two_groups_distinct_entries(self):
         wave = _wave([_ref(1, 0x5300008), _ref(2, 0x6200004)],
                      {0x5300000: bytes(PAGE), 0x6200000: bytes(PAGE)})
-        grouping = group_wave(wave, PAGE)
+        grouping = group_wave(wave, PAGE, [])
         assert [grp.entry for grp in grouping.kept] == [0x5300008, 0x6200004]
 
     def test_group_without_execution_has_no_entry(self):
         wave = _wave([_ref(1, 0x5300010)],
                      {0x5300000: bytes(PAGE), 0x5305000: bytes(PAGE)})
-        grouping = group_wave(wave, PAGE)
+        grouping = group_wave(wave, PAGE, [])
         assert [grp.entry for grp in grouping.kept] == [0x5300010]
         assert [grp.entry for grp in grouping.dropped] == [None]
+
+    def test_calls_join_the_group_holding_their_first_byte(self):
+        # a site whose tail runs onto an undumped page still joins; a call
+        # outside every interval joins no group
+        calls = [_call(1, 0x6200010), _call(2, 0x5300FFC), _call(3, 0x9999999),
+                 _call(4, 0x5300008)]
+        wave = _wave([_ref(1, 0x5300008), _ref(2, 0x6200004)],
+                     {0x5300000: bytes(PAGE), 0x6200000: bytes(PAGE)})
+        grouping = group_wave(wave, PAGE, calls)
+        assert [[c.caller_seq for c in grp.calls] for grp in grouping.kept] == \
+            [[2, 4], [1]]
 
     def test_scenario_entries_are_first_executed_inside(self):
         """Over the 9 scenarios at seeds 0-9: a kept group's entry is the
@@ -188,8 +208,9 @@ class TestGroupEntry:
                 for out in res.outputs:
                     vaddrs = [ref.vaddr for ref in out.record.instrs]
                     for grp, art in zip(out.grouping.kept, out.artifacts):
-                        first = next(v for v in vaddrs if grp.contains(v))
-                        assert grp.entry == art.entry_rva == first, (sid, seed)
+                        first = next(v for v in vaddrs if holds(grp, v))
+                        assert grp.entry == first, (sid, seed)
+                        assert read_pe(art.data).entry == first, (sid, seed)
                     for grp in out.grouping.dropped:
                         assert grp.entry is None, (sid, seed)
-                        assert not any(grp.contains(v) for v in vaddrs)
+                        assert not any(holds(grp, v) for v in vaddrs)
