@@ -112,7 +112,8 @@ class ApiMonitor:
     def __init__(self):
         self.exports = ExportMap()
         self.records: list[ApiCallRecord] = []
-        self._pending: dict[tuple[int, int, int], list[ApiCallRecord]] = {}
+        # (pid, tid, return address) -> calls awaiting it, innermost last
+        self.pending: dict[tuple[int, int, int], list[ApiCallRecord]] = {}
 
     def on_module(self, ev: TraceEvent):
         self.exports.add_module(ev)
@@ -120,11 +121,11 @@ class ApiMonitor:
     def on_return_site(self, ev: TraceEvent):
         """Match any executed instruction against pending return addresses."""
         key = (ev.pid, ev.tid, ev.vaddr)
-        stack = self._pending.get(key)
+        stack = self.pending.get(key)
         if stack:
             rec = stack.pop()  # LIFO: innermost call returns first
             if not stack:
-                del self._pending[key]
+                del self.pending[key]
             if ev.regvals and "eax" in ev.regvals:
                 rec.return_value = ev.regvals["eax"]
 
@@ -137,10 +138,10 @@ class ApiMonitor:
         self.records.append(rec)
         if rec.return_address is not None:
             key = (rec.pid, rec.tid, rec.return_address)
-            self._pending.setdefault(key, []).append(rec)
+            self.pending.setdefault(key, []).append(rec)
 
     def on_procexit(self, pid: int):
-        self._pending = {k: v for k, v in self._pending.items() if k[0] != pid}
+        self.pending = {k: v for k, v in self.pending.items() if k[0] != pid}
 
 
 def attribute_calls(records: list[ApiCallRecord],

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from .trace_model import (
     SystemTrace,
     TraceFormatError,
     check_page_size,
-    parse_trace,
+    iter_trace,
     write_trace,
 )
 
@@ -58,32 +59,61 @@ def _build_parser() -> argparse.ArgumentParser:
 _PIPELINE_ERRORS = (EmitError, PatchIntegrityError)
 
 
-def _read_trace(path: str) -> SystemTrace | None:
-    """The trace parsed from `path`, or None once the error is printed."""
+def _streamed(path: str, command) -> int:
+    """command(trace) on the trace at `path`, read while it is replayed.
+
+    A format error anywhere in the trace exits 1 naming its line. Neither
+    command writes under its output directory before the whole trace has
+    been read, and each reads the rest of the trace before it reports an
+    error of its own, so a bad line is reported first.
+    """
     try:
-        return parse_trace(Path(path).read_bytes())
+        with open(path, "rb") as fh:
+            return command(iter_trace(fh))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
     except TraceFormatError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
-    return None
+    return 1
+
+
+def _read_rest(trace: SystemTrace) -> None:
+    """Read the trace's remaining events, raising at a bad line."""
+    for _ in trace.events:
+        pass
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist
+        return False
 
 
 def cmd_unpack(args) -> int:
-    trace = _read_trace(args.trace)
-    if trace is None:
-        return 1
+    return _streamed(args.trace, lambda trace: _unpack(args, trace))
+
+
+def _unpack(args, trace: SystemTrace) -> int:
     if args.page_size is not None:
         try:
             trace.page_size = check_page_size(args.page_size)
         except ValueError as exc:
+            _read_rest(trace)
             print(f"error: --page-size: {exc}", file=sys.stderr)
             return 1
 
+    if args.taint_log and _same_file(args.taint_log, args.trace):
+        # opening it for writing would cut the trace short mid-read
+        _read_rest(trace)
+        print(f"error: --taint-log: {args.taint_log} is the trace being read",
+              file=sys.stderr)
+        return 1
     try:
         taint_log = (open(args.taint_log, "w", encoding="utf-8")
                      if args.taint_log else None)
     except OSError as exc:
+        _read_rest(trace)
         print(f"error: --taint-log: {exc}", file=sys.stderr)
         return 1
     try:
@@ -92,6 +122,11 @@ def cmd_unpack(args) -> int:
     except _PIPELINE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BaseException:
+        if taint_log:  # the trace did not read to its end: no log of it
+            taint_log.close()
+            Path(args.taint_log).unlink(missing_ok=True)
+        raise
     finally:
         if taint_log:
             taint_log.close()
@@ -150,16 +185,19 @@ def _print_integrity(issues: list[str]) -> None:
 
 
 def cmd_check(args) -> int:
-    trace = _read_trace(args.trace)
-    if trace is None:
-        return 1
+    return _streamed(args.trace, lambda trace: _check(args, trace))
+
+
+def _check(args, trace: SystemTrace) -> int:
     try:
         issues, violations = pipeline.check_outputs(trace, args.out)
     except pipeline.CheckError as exc:
+        _read_rest(trace)  # report.json is read before the trace
         _print_integrity(exc.issues)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
+        _read_rest(trace)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _PIPELINE_ERRORS as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
+from .api_monitor import ApiCallRecord
 from .regroup import Interval, MemoryGroup, holder
 
 PAGE = 0x1000
@@ -160,39 +161,44 @@ def patch_branches(group: MemoryGroup, table: ImportTable,
 
     Six bytes fit an indirect-absolute form in place, so those sites become
     FF 15 / FF 25 through the new slot when all six lie in the interval
-    holding the site; shorter sites, and sites running onto a page the wave
-    never dumped, cannot be rewritten in place and are only recorded.
+    holding the site and every call from the site reached one function;
+    shorter sites, sites running onto a page the wave never dumped and
+    sites that reached several functions cannot be rewritten to one slot
+    and are only recorded. The sidecar lists each (site, function) pair
+    once, in detection order.
     """
     bufs = [bytearray(iv.bytes) for iv in group.intervals]
-    sidecar = []
-    seen_sites = set()
+    # site -> the first call from it to each function it reached
+    sites: dict[int, dict[str, ApiCallRecord]] = {}
     for call in group.calls:
-        if call.caller_vaddr in seen_sites:
-            continue
-        seen_sites.add(call.caller_vaddr)
-        i = holder(group.intervals, call.caller_vaddr)
+        sites.setdefault(call.caller_vaddr, {}).setdefault(
+            call.qualified_name, call)
+    sidecar = []
+    for site, firsts in sites.items():
+        i = holder(group.intervals, site)
         buf = bufs[i]
-        off = call.caller_vaddr - group.intervals[i].base
-        # the site's bytes up to the interval's end, the ones dumped
-        dumped = bytes(buf[off:off + call.caller_len])
-        if dumped != call.caller_bytes[:len(dumped)]:
-            raise PatchIntegrityError(
-                f"dump/trace mismatch at {call.caller_vaddr:#x}: "
-                f"dump {dumped.hex()} vs trace {call.caller_bytes.hex()}")
-        slot = table.slots[(call.module_name, call.function_name)]
-        patched = False
-        if (enable and len(dumped) == call.caller_len == 6
-                and call.btype in ("call", "jmp")):
-            opcode = 0x15 if call.btype == "call" else 0x25
-            buf[off:off + 6] = bytes((0xFF, opcode)) + struct.pack("<I", slot)
-            patched = True
-        sidecar.append({
-            "caller_vaddr": call.caller_vaddr,
-            "len": call.caller_len,
-            "function": call.qualified_name,
-            "slot_rva": slot,
-            "patched": patched,
-        })
+        off = site - group.intervals[i].base
+        for call in firsts.values():
+            # the site's bytes up to the interval's end, the ones dumped
+            dumped = bytes(buf[off:off + call.caller_len])
+            if dumped != call.caller_bytes[:len(dumped)]:
+                raise PatchIntegrityError(
+                    f"dump/trace mismatch at {site:#x}: "
+                    f"dump {dumped.hex()} vs trace {call.caller_bytes.hex()}")
+            slot = table.slots[(call.module_name, call.function_name)]
+            patched = (enable and len(firsts) == 1
+                       and len(dumped) == call.caller_len == 6
+                       and call.btype in ("call", "jmp"))
+            if patched:
+                opcode = 0x15 if call.btype == "call" else 0x25
+                buf[off:off + 6] = bytes((0xFF, opcode)) + struct.pack("<I", slot)
+            sidecar.append({
+                "caller_vaddr": site,
+                "len": call.caller_len,
+                "function": call.qualified_name,
+                "slot_rva": slot,
+                "patched": patched,
+            })
     return [bytes(buf) for buf in bufs], sidecar
 
 

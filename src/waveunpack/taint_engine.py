@@ -38,9 +38,14 @@ def init_taint(image_event: TraceEvent) -> PropagationSet:
 
 
 def is_tainted_instruction(ev: TraceEvent, pset: PropagationSet) -> bool:
-    """True iff any byte of the instruction's global span is tainted."""
-    return not pset.tainted_mem.isdisjoint(
-        range(ev.gaddr, ev.gaddr + len(ev.bytes)))
+    """True iff any byte of the instruction's global span is tainted.
+
+    The first byte is tested alone first: it decides most tainted
+    instructions without building a range.
+    """
+    mem = pset.tainted_mem
+    return ev.gaddr in mem or not mem.isdisjoint(
+        range(ev.gaddr + 1, ev.gaddr + len(ev.bytes)))
 
 
 def update(ev: TraceEvent, pset: PropagationSet,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -104,7 +105,8 @@ class TraceEvent:
 
 @dataclass
 class SystemTrace:
-    events: list[TraceEvent] = field(default_factory=list)
+    # a list from parse_trace, a one-pass iterator from iter_trace
+    events: list[TraceEvent] | Iterator[TraceEvent] = field(default_factory=list)
     page_size: int = DEFAULT_PAGE_SIZE
 
 
@@ -316,6 +318,27 @@ def _loads(raw: bytes, line):
         raise TraceFormatError(f"invalid JSON: {exc}", line) from None
 
 
+def _read_header(line: bytes | None) -> int:
+    """The page size of the trace whose first line is `line`, or raise."""
+    if line is None or not line.strip():
+        raise TraceFormatError("empty stream: missing header line")
+    header = _loads(line, 1)
+    if not isinstance(header, dict) or "format" not in header:
+        raise TraceFormatError("first line is not a trace header", 1)
+    if type(header["format"]) is not int or header["format"] != FORMAT_VERSION:
+        raise TraceFormatError(
+            f"unsupported trace format {header['format']!r} "
+            f"(this reader handles {FORMAT_VERSION})", 1)
+    return _header_page_size(header.get("page_size", DEFAULT_PAGE_SIZE))
+
+
+def _decoded(numbered_lines):
+    """Yield (line, event) for each non-blank (line, raw bytes) pair."""
+    for n, raw in numbered_lines:
+        if raw and not raw.isspace():
+            yield n, _event_from_obj(_loads(raw, n), n)
+
+
 def parse_trace(data) -> SystemTrace:
     """Parse a JSON-Lines byte stream into a validated SystemTrace.
 
@@ -327,28 +350,46 @@ def parse_trace(data) -> SystemTrace:
     if isinstance(data, str):
         data = data.encode("utf-8")
     lines = data.splitlines()
-    if not lines or not lines[0].strip():
-        raise TraceFormatError("empty stream: missing header line")
-    header = _loads(lines[0], 1)
-    if not isinstance(header, dict) or "format" not in header:
-        raise TraceFormatError("first line is not a trace header", 1)
-    if type(header["format"]) is not int or header["format"] != FORMAT_VERSION:
-        raise TraceFormatError(
-            f"unsupported trace format {header['format']!r} "
-            f"(this reader handles {FORMAT_VERSION})", 1)
-    trace = SystemTrace(
-        page_size=_header_page_size(header.get("page_size", DEFAULT_PAGE_SIZE)))
+    trace = SystemTrace(page_size=_read_header(lines[0] if lines else None))
     collecting = gc.isenabled()
     gc.disable()
     try:
         trace.events.extend(_check_stream(
-            (n, _event_from_obj(_loads(raw, n), n))
-            for n, raw in enumerate(lines[1:], start=2)
-            if raw and not raw.isspace()))
+            _decoded(enumerate(lines[1:], start=2))))
     finally:
         if collecting:
             gc.enable()
     return trace
+
+
+def _numbered_lines(fh):
+    """Yield (line number, line) of a binary stream, split as
+    bytes.splitlines() splits: at LF, at CR LF and at a bare CR."""
+    n = 0
+    for raw in fh:
+        if b"\r" in raw:
+            for part in raw.splitlines():
+                n += 1
+                yield n, part
+        else:
+            n += 1
+            yield n, raw[:-1] if raw[-1:] == b"\n" else raw
+
+
+def iter_trace(fh) -> SystemTrace:
+    """A SystemTrace whose events are read from the binary stream `fh` as
+    they are consumed.
+
+    The header is read and checked at once. Each event is validated as
+    parse_trace validates it, so iterating the events raises the
+    TraceFormatError parse_trace would raise, once the bad line is read.
+    The events can be iterated once; `fh` must stay open meanwhile.
+    """
+    lines = _numbered_lines(fh)
+    first = next(lines, None)
+    page_size = _read_header(first[1] if first else None)
+    return SystemTrace(events=_check_stream(_decoded(lines)),
+                       page_size=page_size)
 
 
 def _check_stream(numbered_events):

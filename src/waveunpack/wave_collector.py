@@ -284,9 +284,12 @@ def dump_wave(state: ProcessState, trigger: InstrRef | None,
 def collect_waves(trace: SystemTrace, taint_log=None) -> CollectResult:
     """Run the replay loop: taint, inclusion test, wave classification.
 
-    An ApiMonitor is fed module events, return sites and malware-trace
-    instructions from the same cursor. `taint_log` is an optional writable
-    text stream receiving one line per instruction.
+    An ApiMonitor is fed module events, the instructions that may reach a
+    pending return address, and the malware-trace branches, from the same
+    cursor. `trace.events` is consumed once, as an iterator; once taint
+    dies, the rest is read but neither replayed nor kept, so a streamed
+    trace is still checked to its end. `taint_log` is an optional
+    writable text stream receiving one line per replayed instruction.
     """
     page_size = trace.page_size
     observed = ObservedMemory(page_size)
@@ -310,7 +313,8 @@ def collect_waves(trace: SystemTrace, taint_log=None) -> CollectResult:
         if rec is not None:
             records.append(rec)
 
-    for ev in trace.events:
+    events = iter(trace.events)
+    for ev in events:
         kind = ev.kind
         if kind == "image":
             observed.record_event(ev)
@@ -331,7 +335,8 @@ def collect_waves(trace: SystemTrace, taint_log=None) -> CollectResult:
             continue
 
         # instr
-        monitor.on_return_site(ev)
+        if monitor.pending:
+            monitor.on_return_site(ev)
         tainted = is_tainted_instruction(ev, pset)
         if tainted:
             st = state_for(ev.pid)
@@ -345,13 +350,16 @@ def collect_waves(trace: SystemTrace, taint_log=None) -> CollectResult:
                 close(st, ref)
             else:
                 st.cur_instrs.append(ref)
-            monitor.on_malware_instr(ev, (ev.pid, st.wave_index))
+            if ev.branch is not None:  # only a branch can call an API
+                monitor.on_malware_instr(ev, (ev.pid, st.wave_index))
         update(ev, pset, tmap)
         observed.record_event(ev)
         if taint_log is not None:
             taint_log.write(taint_log_line(ev, tainted, pset, tmap) + "\n")
         if image is not None and pset.empty:
             break
+    for _ in events:  # nothing is tainted any more: only read the rest
+        pass
 
     for pid in sorted(states):
         close(states[pid], None)

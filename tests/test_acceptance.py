@@ -239,6 +239,10 @@ def test_criterion_7_pe_validity(pe_sample):
             assert ins.abs_ref == entry["slot_rva"]
             dll, fn = pe.iat_slots[ins.abs_ref]
             assert f"{dll}!{fn}" == entry["function"]
+            # a patched slot names the only function its site reached
+            reached = {c.qualified_name for c in art.group.calls
+                       if c.caller_vaddr == entry["caller_vaddr"]}
+            assert reached == {entry["function"]}
         checked += 1
     assert checked and patched_sites
     _verdict(7, f"{checked} PE files reparsed by the independent reader; "

@@ -196,6 +196,17 @@ class TestUnpack:
         err = capsys.readouterr().err
         assert "error: " in err and "Traceback" not in err
 
+    def test_taint_log_over_the_trace_exits_1(self, d1_files, tmp_path,
+                                              capsys):
+        trace, _ = d1_files
+        before = trace.read_bytes()
+        out = tmp_path / "o"
+        assert main(["unpack", str(trace), "-o", str(out),
+                     "--taint-log", str(trace)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: --taint-log: {trace} is the trace being read\n"
+        assert trace.read_bytes() == before and not out.exists()
+
     def test_unwritable_taint_log_exits_1(self, d1_files, tmp_path, capsys):
         trace, _ = d1_files
         log = tmp_path / "missing" / "taint.log"
@@ -679,6 +690,74 @@ def test_unpack_and_check_name_the_trace_in_parse_errors(tmp_path, capsys):
         assert _run(command, trace, tmp_path / "out") == 1
         errors.append(capsys.readouterr().err)
     assert errors == [f"error: {trace}: line 2: unknown event kind 'bogus'\n"] * 2
+
+
+def _write_taint_dies_early_trace(path, benign=200) -> int:
+    """A one-byte image that runs once, then a benign write over that byte,
+    so taint dies at line 4; `benign` benign instructions follow, and the
+    last line is malformed. Returns that line's number."""
+    image = TraceEvent(kind="image", pid=1, base=0x400000, gbase=0x1000,
+                       name="t.exe", bytes=b"\x90")
+    run = TraceEvent(kind="instr", pid=1, seq=1, tid=1, vaddr=0x400000,
+                     gaddr=0x1000, bytes=b"\x90")
+    # mov byte [0x400000], 0 in another process, through a shared mapping
+    wipe = TraceEvent(kind="instr", pid=300, seq=2, tid=1, vaddr=0x700000,
+                      gaddr=0x9000, bytes=b"\xc6\x05\x00\x00\x40\x00\x00",
+                      writes=(MemLoc(0x1000, 0x400000, 1, 0),))
+    rest = [TraceEvent(kind="instr", pid=300, seq=3 + i, tid=1,
+                       vaddr=0x700007, gaddr=0x9007, bytes=b"\x90")
+            for i in range(benign)]
+    path.write_bytes(write_trace(SystemTrace(events=[image, run, wipe, *rest]))
+                     + b'{"kind": "wat"}\n')
+    return 5 + benign
+
+
+class TestStreamedTrace:
+    def test_unpack_after_taint_dies_still_reads_to_the_bad_line(
+            self, tmp_path, capsys):
+        trace, out = tmp_path / "t.jsonl", tmp_path / "out"
+        log = tmp_path / "taint.log"
+        line = _write_taint_dies_early_trace(trace)
+        assert main(["unpack", str(trace), "-o", str(out),
+                     "--taint-log", str(log)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {trace}: line {line}: unknown event kind 'wat'\n"
+        assert not out.exists() and not log.exists()
+
+    def test_check_after_taint_dies_still_reads_to_the_bad_line(
+            self, tmp_path, capsys):
+        trace, out = tmp_path / "t.jsonl", tmp_path / "out"
+        line = _write_taint_dies_early_trace(trace)
+        good = tmp_path / "good.jsonl"
+        good.write_bytes(trace.read_bytes().rsplit(b"\n", 2)[0] + b"\n")
+        log = tmp_path / "taint.log"
+        assert main(["unpack", str(good), "-o", str(out),
+                     "--taint-log", str(log)]) == 0
+        assert len(log.read_text().splitlines()) == 2  # replayed to seq 2
+        assert main(["check", str(good), str(out)]) == 0
+        capsys.readouterr()
+        assert main(["check", str(trace), str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: {trace}: line {line}: unknown event kind 'wat'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["unpack", "{trace}", "-o", "{out}", "--page-size", "100"],
+        ["unpack", "{trace}", "-o", "{out}", "--taint-log", "{dir}/no/log"],
+        ["check", "{trace}", "{dir}/damaged"]])
+    def test_bad_line_is_reported_before_other_errors(self, argv, tmp_path,
+                                                      capsys):
+        # as when the whole trace was parsed before anything else was done
+        trace, out = tmp_path / "t.jsonl", tmp_path / "out"
+        line = _write_taint_dies_early_trace(trace)
+        (tmp_path / "damaged").mkdir()
+        (tmp_path / "damaged" / "report.json").write_text("not json")
+        assert main([a.format(trace=trace, out=out, dir=tmp_path)
+                     for a in argv]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {trace}: line {line}: unknown event kind 'wat'\n"
+        assert not out.exists()
 
 
 def _write_undumped_tail_trace(path):

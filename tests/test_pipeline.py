@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import io
 import json
 import random
 import struct
@@ -21,16 +22,18 @@ from waveunpack.pipeline import (
     write_outputs,
 )
 from waveunpack.scenario_gen import (
+    BENIGN_PID,
     MALWARE_PID,
     PAGE,
     TARGET_PID,
     TID,
+    BenignCode,
     Op,
     TraceBuilder,
     generate_scenario,
     push_writer,
 )
-from waveunpack.trace_model import Branch
+from waveunpack.trace_model import Branch, iter_trace, write_trace
 from waveunpack.wave_collector import CHUNK_SIZE, ByteMap, InstrRef
 
 
@@ -90,6 +93,30 @@ class TestStaticStage:
         api = [e for e in result.outputs[0].artifacts[0].sidecar
                if e["kind"] == "api"]
         assert [(e["len"], e["patched"]) for e in api] == [(6, False)]
+
+    @pytest.mark.parametrize("site", [b"\xff\x15\x00\x08\x40\x00",  # call [0x400800]
+                                      b"\xff\xd0"])  # call eax
+    def test_site_reaching_two_functions_is_listed_twice_unpatched(
+            self, site, tmp_path):
+        trace = _two_function_site_trace(site)
+        result = analyze(trace)
+        art = result.outputs[0].artifacts[0]
+        assert art.import_table.entries == [("kernel32",
+                                             ["Sleep", "ExitProcess"])]
+        slots = art.import_table.slots
+        api = [(e["caller_vaddr"], e["len"], e["function"], e["slot_rva"],
+                e["patched"]) for e in art.sidecar if e["kind"] == "api"]
+        assert api == [
+            (0x400001, len(site), "kernel32!Sleep", slots[("kernel32", "Sleep")],
+             False),
+            (0x400001, len(site), "kernel32!ExitProcess",
+             slots[("kernel32", "ExitProcess")], False)]
+        assert read_pe(art.data).read_va(0x400001, len(site)) == site
+        group = result.report["processes"][0]["waves"][0]["groups"][0]
+        assert (group["iat_size"], group["sidecar_entries"],
+                group["patched_sites"]) == (2, 2, 0)
+        write_outputs(result, tmp_path / "o")
+        assert check_outputs(trace, tmp_path / "o") == ([], [])
 
     def test_final_wave_is_latest_by_sequence(self):
         trace, _ = generate_scenario("m1", 5)
@@ -240,6 +267,27 @@ class TestCheckOutputs:
         assert violations  # tampered byte also breaks provenance checks
 
 
+def _two_function_site_trace(site: bytes):
+    """A one-page image at 0x400000: a nop, then the call `site` at
+    0x400001, which runs twice, reaching kernel32!Sleep and then
+    kernel32!ExitProcess."""
+    tb = TraceBuilder()
+    image = tb.image_region(MALWARE_PID, 0x400000)
+    k32 = 0x77000000
+    tb.module(MALWARE_PID, k32, "kernel32",
+              {"Sleep": 0x1A00, "ExitProcess": 0x1200})
+    content = bytearray(PAGE)
+    content[:1 + len(site)] = b"\x90" + site
+    tb.emit_image(image, bytes(content), "two.exe")
+    tb.instr(MALWARE_PID, TID, 0x400000, image.g, b"\x90")
+    ret = 0x400001 + len(site)
+    for target in (k32 + 0x1A00, k32 + 0x1200):
+        tb.instr(MALWARE_PID, TID, 0x400001, image.g + 1, site,
+                 branch=Branch(target, "call"), stack_top=ret)
+    tb.procexit(MALWARE_PID)
+    return tb.build()
+
+
 def _big_image_trace(pages: int):
     """A random image of `pages` pages whose stub pushes a few nops into a
     generated page and jumps there: two waves, the first the whole image."""
@@ -281,3 +329,53 @@ def test_shadow_memory_is_not_held_per_byte(tmp_path):
     assert result.report["summary"]["waves"] == 2 and not result.violations
     assert held < 3_000_000
     assert write_peak < 3_000_000
+
+
+def _packer_then_background(benign: int) -> bytes:
+    """A two-wave packer, then `benign` instructions of a benign process
+    while the image is still tainted, as trace file bytes."""
+    rng = random.Random(2)
+    tb = TraceBuilder()
+    image = tb.image_region(MALWARE_PID, 0x400000)
+    gen = tb.region(rng, [MALWARE_PID])
+    stub = push_writer(gen, MALWARE_PID, 0, b"\x90" * 16)
+    code = b"".join(op.code for op in stub)
+    jmp = b"\xe9" + struct.pack("<i", gen.addr(MALWARE_PID) - 0x400000
+                                 - len(code) - 5)
+    tb.emit_image(image, (code + jmp).ljust(PAGE, b"\xcc"), "packer.exe")
+    tb.run_plan(MALWARE_PID, TID, image, 0, stub)
+    tb.instr(MALWARE_PID, TID, 0x400000 + len(code), image.g + len(code), jmp,
+             branch=Branch(gen.addr(MALWARE_PID), "jmp"))
+    tb.run_plan(MALWARE_PID, TID, gen, 0, [Op(code=b"\x90")] * 16)
+    tb.procexit(MALWARE_PID)
+    BenignCode(tb, BENIGN_PID, TID, 0x71000000).nops(benign)
+    return write_trace(tb.build())
+
+
+class _LineCount:
+    """A taint log that only counts its lines."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+
+
+def test_streamed_analyze_memory_is_bounded_by_live_state():
+    # the events are read as they are replayed, so four times the benign
+    # tail costs no more memory
+    peaks = []
+    for benign in (1000, 4000):
+        stream = io.BytesIO(_packer_then_background(benign))
+        log = _LineCount()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = analyze(iter_trace(stream), taint_log=log)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.report["summary"]["waves"] == 2
+        # taint stays alive, so every instruction is replayed
+        assert log.lines == len(result.collect.mtrace) + benign
+    assert peaks[1] <= 1.2 * peaks[0], peaks

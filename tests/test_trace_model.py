@@ -1,19 +1,21 @@
 from __future__ import annotations
 
 import gc
+import io
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveunpack.scenario_gen import generate_scenario
+from waveunpack.scenario_gen import SCENARIO_IDS, generate_scenario
 from waveunpack.trace_model import (
     MemLoc,
     ObservedMemory,
     SystemTrace,
     TraceEvent,
     TraceFormatError,
+    iter_trace,
     parse_trace,
     write_trace,
 )
@@ -240,6 +242,121 @@ def test_round_trip_property(trace):
     blob = write_trace(trace)
     assert parse_trace(blob) == trace
     assert write_trace(parse_trace(blob)) == blob
+
+
+def _read_both(data: bytes):
+    """What parse_trace and a fully iterated iter_trace make of `data`:
+    (page size, events), or the error's (text, line)."""
+    def outcome(read):
+        try:
+            trace = read()
+            return trace.page_size, list(trace.events)
+        except TraceFormatError as exc:
+            return str(exc), exc.line
+    return (outcome(lambda: parse_trace(data)),
+            outcome(lambda: iter_trace(io.BytesIO(data))))
+
+
+_HEADER = b'{"format":1,"page_size":4096}'
+_BARE_INSTR = json.dumps({"kind": "instr", "seq": 1, "pid": 1, "tid": 1,
+                          "vaddr": 0x400000, "gaddr": 0x1000, "bytes": "90",
+                          "reads": [], "writes": [], "rregs": [],
+                          "wregs": []}).encode()
+_BARE_IMAGE = json.dumps({"kind": "image", "pid": 1, "base": 0x400000,
+                          "gbase": 0x1000, "name": "t", "bytes": "90"}).encode()
+_GOOD = write_trace(SystemTrace(events=[_image(), _instr(1)]))
+
+
+def _image_line(base, size):
+    return json.dumps({"kind": "image", "pid": 1, "base": base,
+                       "gbase": 0x1000, "name": "t.exe",
+                       "bytes": "cc" * size}).encode()
+
+
+# the malformed inputs the tests above give parse_trace, plus line ends
+_MALFORMED = {
+    **{f"stream fault: {name}": _lines_of(events)
+       for name, (events, _, _) in _STREAM_FAULTS.items()},
+    "stream fault before format fault":
+        _lines_of([_image(), _image()]) + b"not json\n",
+    "format fault before stream fault":
+        _lines_of([_image()]) + b"not json\n"
+        + _lines_of([_image()]).split(b"\n", 1)[1],
+    **{f"image at {base:#x} of {size} bytes":
+       write_trace(SystemTrace()) + _image_line(base, size) + b"\n"
+       for base, size in [(-1, 16), ((1 << 32) - 15, 16), (1 << 32, 1)]},
+    "repeated seq": _GOOD + _GOOD.splitlines()[2] + b"\n",
+    "instr before image": b"\n".join([_HEADER, _BARE_INSTR, _BARE_IMAGE]),
+    "not json": _HEADER + b"\nnot json\n",
+    "empty": b"",
+    **{f"header page size {size!r}":
+       json.dumps({"format": 1, "page_size": size}).encode() + b"\n"
+       for size in [0, 100, 0x800, 0x3000, -4096, "4096", None]},
+    **{f"undecodable {line[:20]!r}": _HEADER + b"\n" + line + b"\n"
+       for line in [b'{"kind": "procexit", "pid": 1} x', b'{"kind": "procexit"',
+                    b"\xff{}", b"[1] [2]", b"[" * 100_000]},
+    "empty object": _GOOD + b"{}\n",
+    "blank header": b"\n" + _GOOD,
+    "bare CR header": b"\r" + _GOOD,
+    "CR inside a line": _GOOD[:-20] + b"\r" + _GOOD[-20:],
+    "bad line after CR": _GOOD.replace(b"\n", b"\r") + b"{}",
+    "bad line after CR LF": _GOOD.replace(b"\n", b"\r\n") + b"\r\r\n{}",
+    "padded lines": b"\xef\xbb\xbf" + _GOOD.replace(b"\n", b" \t\n", 1),
+}
+
+
+class TestIterTrace:
+    @pytest.mark.parametrize("name", sorted(_MALFORMED))
+    def test_agrees_with_parse_trace(self, name):
+        parsed, streamed = _read_both(_MALFORMED[name])
+        assert streamed == parsed
+
+    @pytest.mark.parametrize("sid", SCENARIO_IDS)
+    def test_scenario_events_stream_as_parsed(self, sid):
+        blob = write_trace(generate_scenario(sid, 4)[0])
+        trace = iter_trace(io.BytesIO(blob))
+        assert not isinstance(trace.events, list)
+        assert list(trace.events) == parse_trace(blob).events
+
+    def test_header_is_checked_before_any_event_is_read(self):
+        with pytest.raises(TraceFormatError, match="line 1: page size 0"):
+            iter_trace(io.BytesIO(b'{"format":1,"page_size":0}\nnot json\n'))
+
+    def test_events_are_read_as_consumed(self):
+        trace = iter_trace(io.BytesIO(_GOOD + b"not json\n"))
+        assert next(trace.events).kind == "image"
+        assert next(trace.events).kind == "instr"
+        with pytest.raises(TraceFormatError, match="line 4: invalid JSON"):
+            next(trace.events)
+
+
+@pytest.fixture(scope="module")
+def scenario_blobs():
+    return [write_trace(generate_scenario(sid, 3)[0])
+            for sid in ("d1", "c1", "m1")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_iter_trace_agrees_on_damaged_lines(scenario_blobs, data):
+    """Corrupt, blank or split one line of a scenario trace: iter_trace
+    yields what parse_trace returns, or raises its error."""
+    lines = data.draw(st.sampled_from(scenario_blobs)).split(b"\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    at = data.draw(st.integers(0, len(line)))
+    how = data.draw(st.sampled_from(["byte", "truncate", "blank", "split"]))
+    if how == "byte":
+        line = line[:at] + bytes([data.draw(st.integers(0, 255))]) + line[at + 1:]
+    elif how == "truncate":
+        line = line[:at]
+    elif how == "blank":
+        line = data.draw(st.sampled_from([b"", b" ", b"\t \x0c"]))
+    else:
+        line = line[:at] + data.draw(st.sampled_from([b"\r", b"\r\n"])) + line[at:]
+    lines[i] = line
+    parsed, streamed = _read_both(b"\n".join(lines))
+    assert streamed == parsed
 
 
 class TestObservedMemory:
