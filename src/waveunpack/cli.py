@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import pipeline
@@ -64,8 +67,7 @@ def _streamed(path: str, command) -> int:
 
     A format error anywhere in the trace exits 1 naming its line. Neither
     command writes under its output directory before the whole trace has
-    been read, and each reads the rest of the trace before it reports an
-    error of its own, so a bad line is reported first.
+    been read.
     """
     try:
         with open(path, "rb") as fh:
@@ -77,12 +79,6 @@ def _streamed(path: str, command) -> int:
     return 1
 
 
-def _read_rest(trace: SystemTrace) -> None:
-    """Read the trace's remaining events, raising at a bad line."""
-    for _ in trace.events:
-        pass
-
-
 def _same_file(a: str, b: str) -> bool:
     try:
         return os.path.samefile(a, b)
@@ -91,45 +87,43 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def cmd_unpack(args) -> int:
+    if args.page_size is not None:
+        try:
+            check_page_size(args.page_size)
+        except ValueError as exc:
+            print(f"error: --page-size: {exc}", file=sys.stderr)
+            return 1
+    if args.taint_log and _same_file(args.taint_log, args.trace):
+        # the log would replace the trace it is made from
+        print(f"error: --taint-log: {args.taint_log} is the trace being read",
+              file=sys.stderr)
+        return 1
     return _streamed(args.trace, lambda trace: _unpack(args, trace))
 
 
 def _unpack(args, trace: SystemTrace) -> int:
     if args.page_size is not None:
+        trace.page_size = args.page_size
+    # The log waits in a scratch file until the trace has been read to its
+    # end, so a trace that fails to parse leaves --taint-log untouched.
+    with (tempfile.TemporaryFile("w+", encoding="utf-8") if args.taint_log
+          else contextlib.nullcontext()) as log:
         try:
-            trace.page_size = check_page_size(args.page_size)
-        except ValueError as exc:
-            _read_rest(trace)
-            print(f"error: --page-size: {exc}", file=sys.stderr)
-            return 1
-
-    if args.taint_log and _same_file(args.taint_log, args.trace):
-        # opening it for writing would cut the trace short mid-read
-        _read_rest(trace)
-        print(f"error: --taint-log: {args.taint_log} is the trace being read",
-              file=sys.stderr)
-        return 1
-    try:
-        taint_log = (open(args.taint_log, "w", encoding="utf-8")
-                     if args.taint_log else None)
-    except OSError as exc:
-        _read_rest(trace)
-        print(f"error: --taint-log: {exc}", file=sys.stderr)
-        return 1
-    try:
-        result = pipeline.analyze(trace, patch=not args.no_patch,
-                                  taint_log=taint_log)
-    except _PIPELINE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            result, error = pipeline.analyze(
+                trace, patch=not args.no_patch, taint_log=log), None
+        except _PIPELINE_ERRORS as exc:
+            result, error = None, exc
+        if log:
+            log.seek(0)
+            try:
+                with open(args.taint_log, "w", encoding="utf-8") as fh:
+                    shutil.copyfileobj(log, fh)
+            except OSError as exc:
+                print(f"error: --taint-log: {exc}", file=sys.stderr)
+                return 1
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
-    except BaseException:
-        if taint_log:  # the trace did not read to its end: no log of it
-            taint_log.close()
-            Path(args.taint_log).unlink(missing_ok=True)
-        raise
-    finally:
-        if taint_log:
-            taint_log.close()
 
     try:
         report = pipeline.write_outputs(result, args.out,
@@ -188,11 +182,20 @@ def cmd_check(args) -> int:
     return _streamed(args.trace, lambda trace: _check(args, trace))
 
 
+def _read_rest(trace: SystemTrace) -> None:
+    """Read the trace's remaining events, raising at a bad line."""
+    for _ in trace.events:
+        pass
+
+
 def _check(args, trace: SystemTrace) -> int:
+    # report.json is read once the trace's header has been: a bad trace
+    # line is still reported before a damaged report, as when the whole
+    # trace was parsed first
     try:
         issues, violations = pipeline.check_outputs(trace, args.out)
     except pipeline.CheckError as exc:
-        _read_rest(trace)  # report.json is read before the trace
+        _read_rest(trace)
         _print_integrity(exc.issues)
         print(f"error: {exc}", file=sys.stderr)
         return 1

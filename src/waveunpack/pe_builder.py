@@ -11,7 +11,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from .api_monitor import ApiCallRecord
 from .regroup import Interval, MemoryGroup, holder
 
 PAGE = 0x1000
@@ -168,37 +167,39 @@ def patch_branches(group: MemoryGroup, table: ImportTable,
     once, in detection order.
     """
     bufs = [bytearray(iv.bytes) for iv in group.intervals]
-    # site -> the first call from it to each function it reached
-    sites: dict[int, dict[str, ApiCallRecord]] = {}
+    reached: dict[int, set[str]] = {}  # site -> the functions it reached
     for call in group.calls:
-        sites.setdefault(call.caller_vaddr, {}).setdefault(
-            call.qualified_name, call)
+        reached.setdefault(call.caller_vaddr, set()).add(call.qualified_name)
     sidecar = []
-    for site, firsts in sites.items():
+    listed = set()
+    for call in group.calls:
+        site = call.caller_vaddr
+        if (site, call.qualified_name) in listed:
+            continue
+        listed.add((site, call.qualified_name))
         i = holder(group.intervals, site)
         buf = bufs[i]
         off = site - group.intervals[i].base
-        for call in firsts.values():
-            # the site's bytes up to the interval's end, the ones dumped
-            dumped = bytes(buf[off:off + call.caller_len])
-            if dumped != call.caller_bytes[:len(dumped)]:
-                raise PatchIntegrityError(
-                    f"dump/trace mismatch at {site:#x}: "
-                    f"dump {dumped.hex()} vs trace {call.caller_bytes.hex()}")
-            slot = table.slots[(call.module_name, call.function_name)]
-            patched = (enable and len(firsts) == 1
-                       and len(dumped) == call.caller_len == 6
-                       and call.btype in ("call", "jmp"))
-            if patched:
-                opcode = 0x15 if call.btype == "call" else 0x25
-                buf[off:off + 6] = bytes((0xFF, opcode)) + struct.pack("<I", slot)
-            sidecar.append({
-                "caller_vaddr": site,
-                "len": call.caller_len,
-                "function": call.qualified_name,
-                "slot_rva": slot,
-                "patched": patched,
-            })
+        # the site's bytes up to the interval's end, the ones dumped
+        dumped = bytes(buf[off:off + call.caller_len])
+        if dumped != call.caller_bytes[:len(dumped)]:
+            raise PatchIntegrityError(
+                f"dump/trace mismatch at {site:#x}: "
+                f"dump {dumped.hex()} vs trace {call.caller_bytes.hex()}")
+        slot = table.slots[(call.module_name, call.function_name)]
+        patched = (enable and len(reached[site]) == 1
+                   and len(dumped) == call.caller_len == 6
+                   and call.btype in ("call", "jmp"))
+        if patched:
+            opcode = 0x15 if call.btype == "call" else 0x25
+            buf[off:off + 6] = bytes((0xFF, opcode)) + struct.pack("<I", slot)
+        sidecar.append({
+            "caller_vaddr": site,
+            "len": call.caller_len,
+            "function": call.qualified_name,
+            "slot_rva": slot,
+            "patched": patched,
+        })
     return [bytes(buf) for buf in bufs], sidecar
 
 

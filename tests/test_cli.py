@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -631,6 +632,14 @@ class TestPipelineErrors:
         assert "error: dump/trace mismatch at 0x5007001" in err
         assert "Traceback" not in err
 
+    def test_unpack_mismatch_still_writes_the_taint_log(self, tmp_path):
+        # the trace was read to its end: its log is kept for debugging
+        trace, log = tmp_path / "t.jsonl", tmp_path / "taint.log"
+        _write_mismatched_site_trace(trace)
+        assert main(["unpack", str(trace), "-o", str(tmp_path / "out"),
+                     "--taint-log", str(log)]) == 2
+        assert "tainted_instr:" in log.read_text()
+
 
 def _shift_image(trace: Path, delta: int) -> int:
     """Move the trace's image by `delta`; returns the image's line number."""
@@ -743,7 +752,6 @@ class TestStreamedTrace:
             f"error: {trace}: line {line}: unknown event kind 'wat'\n"
 
     @pytest.mark.parametrize("argv", [
-        ["unpack", "{trace}", "-o", "{out}", "--page-size", "100"],
         ["unpack", "{trace}", "-o", "{out}", "--taint-log", "{dir}/no/log"],
         ["check", "{trace}", "{dir}/damaged"]])
     def test_bad_line_is_reported_before_other_errors(self, argv, tmp_path,
@@ -758,6 +766,47 @@ class TestStreamedTrace:
         assert capsys.readouterr().err == \
             f"error: {trace}: line {line}: unknown event kind 'wat'\n"
         assert not out.exists()
+
+    def test_bad_page_size_is_reported_before_the_trace_is_read(
+            self, tmp_path, capsys):
+        trace, out = tmp_path / "t.jsonl", tmp_path / "out"
+        _write_taint_dies_early_trace(trace)
+        assert main(["unpack", str(trace), "-o", str(out),
+                     "--page-size", "100"]) == 1
+        assert capsys.readouterr().err == ("error: --page-size: page size 100 "
+                                           "is not a power of two from 0x1000 "
+                                           "to 0x400000\n")
+
+    @pytest.mark.parametrize("kind", ["file", "symlink", "fifo"])
+    def test_bad_trace_leaves_an_existing_taint_log_alone(self, kind,
+                                                         tmp_path, capsys):
+        trace, out = tmp_path / "t.jsonl", tmp_path / "out"
+        line = _write_taint_dies_early_trace(trace)
+        earlier = tmp_path / "earlier.log"
+        earlier.write_text("an earlier run's log\n")
+        log = tmp_path / "taint.log"
+        reader = None
+        if kind == "file":
+            log = earlier
+        elif kind == "symlink":
+            log.symlink_to(earlier)
+        else:
+            os.mkfifo(log)
+            # a reader, so that opening the fifo to write would not block
+            reader = os.open(log, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["unpack", str(trace), "-o", str(out),
+                         "--taint-log", str(log)]) == 1
+            if reader is not None:
+                assert os.read(reader, 1) == b""  # nothing was written to it
+        finally:
+            if reader is not None:
+                os.close(reader)
+        assert capsys.readouterr().err == \
+            f"error: {trace}: line {line}: unknown event kind 'wat'\n"
+        assert os.path.lexists(log) and not out.exists()
+        assert earlier.read_text() == "an earlier run's log\n"
+        assert log.is_symlink() == (kind == "symlink")
 
 
 def _write_undumped_tail_trace(path):

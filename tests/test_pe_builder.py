@@ -124,6 +124,26 @@ class TestPatch:
                                                      "GetModuleHandleA")],
                             "patched": False}]
 
+    def test_interleaved_sites_listed_in_detection_order(self):
+        # site A reaches Sleep, site B ExitProcess, then A ExitProcess
+        a, b = b"\xff\x15\x00\x08\x40\x00", b"\xff\x15\x04\x08\x40\x00"
+        data = bytearray(PAGE)
+        data[0x10:0x16], data[0x20:0x26] = a, b
+        calls = [_call(1, 0x5300010, a, "Sleep"),
+                 _call(2, 0x5300020, b, "ExitProcess"),
+                 _call(3, 0x5300010, a, "ExitProcess"),
+                 _call(4, 0x5300020, b, "ExitProcess")]
+        group = _group((0x5300000, 0x5301000), data={0x5300000: bytes(data)},
+                       calls=calls)
+        table = build_import_table(group)
+        patched, sidecar = patch_branches(group, table)
+        assert [(e["caller_vaddr"], e["function"], e["patched"])
+                for e in sidecar] == [
+            (0x5300010, "kernel32!Sleep", False),
+            (0x5300020, "kernel32!ExitProcess", True),
+            (0x5300010, "kernel32!ExitProcess", False)]
+        assert patched[0][0x10:0x16] == a and patched[0][0x20:0x26] != b
+
     def test_ret_site_never_patched(self):
         group, table = self._make(b"\xc3", btype="ret",
                                         fn="MessageBoxA")
