@@ -14,13 +14,7 @@ from pathlib import Path
 from . import pipeline
 from .pe_builder import EmitError, PatchIntegrityError
 from .scenario_gen import UnknownScenarioError, generate_scenario
-from .trace_model import (
-    SystemTrace,
-    TraceFormatError,
-    check_page_size,
-    iter_trace,
-    write_trace,
-)
+from .trace_model import SystemTrace, TraceFormatError, iter_trace, write_trace
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,13 +26,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_unpack = sub.add_parser("unpack", help="run the full pipeline on a trace")
     p_unpack.add_argument("trace", help="trace file (JSON-Lines)")
     p_unpack.add_argument("-o", "--out", default="out", help="output directory")
-    p_unpack.add_argument("--page-size", type=int, default=None,
-                          help="override the trace header page size")
     p_unpack.add_argument("--strict-semantics", action="store_true",
                           help="exit 2 when wave semantics checks fail")
-    p_unpack.add_argument("--no-patch", action="store_true",
-                          help="emit PEs without rewriting call sites")
-    p_unpack.add_argument("--report", default=None, help="report path")
+    p_unpack.add_argument("--report", default=None,
+                          help="also write a copy of report.json here")
     p_unpack.add_argument("--no-timing", action="store_true",
                           help="omit timing from the report")
     p_unpack.add_argument("--taint-log", default=None,
@@ -87,12 +78,6 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def cmd_unpack(args) -> int:
-    if args.page_size is not None:
-        try:
-            check_page_size(args.page_size)
-        except ValueError as exc:
-            print(f"error: --page-size: {exc}", file=sys.stderr)
-            return 1
     if args.taint_log and _same_file(args.taint_log, args.trace):
         # the log would replace the trace it is made from
         print(f"error: --taint-log: {args.taint_log} is the trace being read",
@@ -102,15 +87,12 @@ def cmd_unpack(args) -> int:
 
 
 def _unpack(args, trace: SystemTrace) -> int:
-    if args.page_size is not None:
-        trace.page_size = args.page_size
     # The log waits in a scratch file until the trace has been read to its
     # end, so a trace that fails to parse leaves --taint-log untouched.
     with (tempfile.TemporaryFile("w+", encoding="utf-8") if args.taint_log
           else contextlib.nullcontext()) as log:
         try:
-            result, error = pipeline.analyze(
-                trace, patch=not args.no_patch, taint_log=log), None
+            result, error = pipeline.analyze(trace, taint_log=log), None
         except _PIPELINE_ERRORS as exc:
             result, error = None, exc
         if log:
@@ -182,25 +164,14 @@ def cmd_check(args) -> int:
     return _streamed(args.trace, lambda trace: _check(args, trace))
 
 
-def _read_rest(trace: SystemTrace) -> None:
-    """Read the trace's remaining events, raising at a bad line."""
-    for _ in trace.events:
-        pass
-
-
 def _check(args, trace: SystemTrace) -> int:
-    # report.json is read once the trace's header has been: a bad trace
-    # line is still reported before a damaged report, as when the whole
-    # trace was parsed first
     try:
         issues, violations = pipeline.check_outputs(trace, args.out)
     except pipeline.CheckError as exc:
-        _read_rest(trace)
         _print_integrity(exc.issues)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        _read_rest(trace)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _PIPELINE_ERRORS as exc:

@@ -154,8 +154,8 @@ def build_import_table(group: MemoryGroup) -> ImportTable:
     return table
 
 
-def patch_branches(group: MemoryGroup, table: ImportTable,
-                   enable: bool = True) -> tuple[list[bytes], list[dict]]:
+def patch_branches(group: MemoryGroup,
+                   table: ImportTable) -> tuple[list[bytes], list[dict]]:
     """Retarget 6-byte call/jmp sites at the rebuilt IAT, sidecar the rest.
 
     Six bytes fit an indirect-absolute form in place, so those sites become
@@ -187,7 +187,7 @@ def patch_branches(group: MemoryGroup, table: ImportTable,
                 f"dump/trace mismatch at {site:#x}: "
                 f"dump {dumped.hex()} vs trace {call.caller_bytes.hex()}")
         slot = table.slots[(call.module_name, call.function_name)]
-        patched = (enable and len(reached[site]) == 1
+        patched = (len(reached[site]) == 1
                    and len(dumped) == call.caller_len == 6
                    and call.btype in ("call", "jmp"))
         if patched:
@@ -310,11 +310,11 @@ def emit_pe(sections: list[SectionSpec], table: ImportTable,
     return bytes(out)
 
 
-def build_artifact(group: MemoryGroup, patch: bool = True) -> PEArtifact:
+def build_artifact(group: MemoryGroup) -> PEArtifact:
     """Run the full static stage for one kept memory group, entering it
     at `group.entry`."""
     table = build_import_table(group)
-    patched, api_entries = patch_branches(group, table, enable=patch)
+    patched, api_entries = patch_branches(group, table)
     sections = layout_sections(group, table, patched)
     return PEArtifact(group=group, import_table=table,
                       data=emit_pe(sections, table, group.entry),

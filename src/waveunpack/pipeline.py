@@ -7,14 +7,14 @@ import re
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 
 from .api_monitor import ApiCallRecord, attribute_calls
 from .pe_builder import PEArtifact, build_artifact
 from .regroup import WaveGrouping, group_wave
-from .trace_model import SystemTrace, check_page_size
+from .trace_model import SystemTrace
 from .wave_collector import (
     ByteMap,
     CollectResult,
@@ -48,8 +48,7 @@ class PipelineResult:
         return max(self.collect.records, key=lambda r: r.last_seq)
 
 
-def analyze(trace: SystemTrace, patch: bool = True,
-            taint_log=None) -> PipelineResult:
+def analyze(trace: SystemTrace, taint_log=None) -> PipelineResult:
     """Run taint, wave collection, attribution and PE reconstruction."""
     started = time.perf_counter()
     collect = collect_waves(trace, taint_log=taint_log)
@@ -59,7 +58,7 @@ def analyze(trace: SystemTrace, patch: bool = True,
     for rec in collect.records:
         grouping = group_wave(rec, trace.page_size,
                               per_wave[(rec.pid, rec.wave_index)])
-        artifacts = [build_artifact(grp, patch=patch) for grp in grouping.kept]
+        artifacts = [build_artifact(grp) for grp in grouping.kept]
         outputs.append(WaveOutput(record=rec, grouping=grouping,
                                   artifacts=artifacts))
 
@@ -151,12 +150,12 @@ _BATCH = 1024
 _PAIRS = b", [%d, %d]" * _BATCH
 
 
-def _render(result: PipelineResult, report: dict | None):
+def _render(result: PipelineResult, report: dict):
     """Yield (relative path, byte chunks) of each output file.
 
     The one place that names and encodes the tree's files: write_outputs
     writes these chunks, check_outputs compares them. Chunks encode lazily.
-    `report` is the report.json document; None leaves the file out.
+    `report` is the report.json document.
     """
     yield "api_calls.jsonl", _batched(
         json.dumps(rec.log_obj(), sort_keys=True) + "\n"
@@ -183,8 +182,7 @@ def _render(result: PipelineResult, report: dict | None):
         for gi, art in enumerate(wave_out.artifacts):
             yield f"{wdir}/group{gi}.exe", (art.data,)
             yield f"{wdir}/group{gi}.xrefs.json", (_json_doc(art.sidecar),)
-    if report is not None:
-        yield "report.json", (_json_doc(report),)
+    yield "report.json", (_json_doc(report),)
 
 
 def _json_doc(obj) -> bytes:
@@ -240,7 +238,8 @@ def write_outputs(result: PipelineResult, out_dir, no_timing: bool = False,
     The tree is built in a staging directory inside `out_dir` and then
     moved into place, replacing whatever an earlier unpack left there, so
     the directory holds exactly this run's outputs. Entries an unpack never
-    writes (a taint log, say) are left alone.
+    writes (a taint log, say) are left alone. `report_path` gets a copy of
+    report.json before the move, so a failed copy leaves `out_dir` as it was.
     """
     report = _untimed(result.report) if no_timing else dict(result.report)
     out = Path(out_dir)
@@ -248,13 +247,15 @@ def write_outputs(result: PipelineResult, out_dir, no_timing: bool = False,
     stage = Path(tempfile.mkdtemp(prefix=".unpack-", dir=out))
     try:
         made = set()  # staging directories created so far
-        for rel, chunks in _render(result, None if report_path else report):
+        for rel, chunks in _render(result, report):
             path = stage / rel
             if path.parent not in made:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 made.add(path.parent)
             with open(path, "wb") as fh:
                 fh.writelines(chunks)
+        if report_path:
+            shutil.copyfile(stage / "report.json", report_path)
         old = stage / ".old"
         old.mkdir()
         for entry in out.iterdir():
@@ -265,8 +266,6 @@ def write_outputs(result: PipelineResult, out_dir, no_timing: bool = False,
                 entry.rename(out / entry.name)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
-    if report_path:
-        Path(report_path).write_bytes(_json_doc(report))
     return report
 
 
@@ -286,9 +285,9 @@ class CheckError(Exception):
 
 
 def _owned(directory: Path, name: re.Pattern) -> list[tuple[int, Path]]:
-    """(number, path) of the entries `name` matches, sorted by path."""
+    """(number, path) of the directories `name` matches, sorted by path."""
     matches = ((name.fullmatch(p.name), p) for p in sorted(directory.iterdir()))
-    return [(int(m.group(1)), p) for m, p in matches if m]
+    return [(int(m.group(1)), p) for m, p in matches if m and p.is_dir()]
 
 
 def load_wave_records(out_dir) -> list[WaveRecord]:
@@ -345,41 +344,39 @@ def _read_pairs(path: Path) -> ByteMap:
 def check_outputs(trace: SystemTrace, out_dir) -> tuple[list[str], list[Violation]]:
     """Re-analyze the trace and compare every stored file with its rendering.
 
-    The page size and the timing are the stored report's. Stored waves are
-    parsed and verified only to explain a difference; without one they are
-    the recomputed waves, with the recomputed violations.
+    The page size is the trace header's. Only the timing is taken from the
+    stored report, which is read after the replay. Stored waves are parsed
+    and verified only to explain a difference; without one they are the
+    recomputed waves, with the recomputed violations.
     """
     out = Path(out_dir)
-    report_file = out / "report.json"
-    try:
-        stored_report = json.loads(report_file.read_bytes())
-        if isinstance(stored_report, dict):
-            trace = replace(trace, page_size=check_page_size(
-                stored_report.get("page_size", trace.page_size)))
-    except FileNotFoundError:
-        stored_report = None
-    except ValueError as exc:
-        raise CheckError(f"{report_file}: {exc}") from None
     result = analyze(trace)
     report = _untimed(result.report)
+    try:
+        stored_report = json.loads((out / "report.json").read_bytes())
+    except (FileNotFoundError, ValueError):  # reported below
+        stored_report = None
     if isinstance(stored_report, dict) and "timing" in stored_report:
         report["timing"] = stored_report["timing"]
 
     issues: list[str] = []
-    rendered: set[str] = set()
+    known = set()  # rendered paths and the directories above them
     for rel, chunks in _render(result, report):
-        rendered.add(rel)
         try:
             with open(out / rel, "rb") as fh:
                 if (not all(fh.read(len(c)) == c for c in chunks)
                         or fh.read(1)):
                     issues.append(f"{rel}: differs")
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
             issues.append(f"{rel}: missing")
-    known = rendered | {rel.rpartition("/")[0] for rel in rendered}
-    for _, pid_dir in _owned(out, _PID_NAME):
-        for _, wdir in _owned(pid_dir, _WAVE_NAME):
-            for path in [wdir, *sorted(wdir.rglob("*"))]:
+        while rel not in known:
+            known.add(rel)
+            rel = rel.rpartition("/")[0]
+    # everything under a name a rerun would replace was written by unpack
+    for entry in sorted(out.iterdir()):
+        if _OWNED_NAME.fullmatch(entry.name):
+            below = sorted(entry.rglob("*")) if entry.is_dir() else []
+            for path in [entry, *below]:
                 if (rel := path.relative_to(out).as_posix()) not in known:
                     issues.append(f"{rel}: not rendered")
 

@@ -265,27 +265,29 @@ def test_pe_header_sizes_and_directories(pe_sample):
 
 
 def test_criterion_8_patch_rules(full_sweep):
-    # six-byte sites rewritten in place: everything else byte-identical
+    # six-byte sites rewritten in place: every other byte as dumped
     for sid in ("d1", "c5"):
         trace, truth, result, _ = full_sweep[(sid, 0)]
-        plain = analyze(trace, patch=False)
         final = result.final_wave()
         out = next(o for o in result.outputs if o.record is final)
-        out_plain = next(o for o in plain.outputs
-                         if (o.record.pid, o.record.wave_index)
-                         == (final.pid, final.wave_index))
-        for art, raw in zip(out.artifacts, out_plain.artifacts):
-            assert len(art.data) == len(raw.data)
+        for art in out.artifacts:
             patched_ranges = []
             for e in art.sidecar:
                 if e.get("kind") == "api" and e["patched"]:
                     assert e["len"] == 6
                     patched_ranges.append((e["caller_vaddr"], 6))
             pe = read_pe(art.data)
-            pe_raw = read_pe(raw.data)
-            for sec, sec_raw in zip(pe.sections, pe_raw.sections):
+            wsegs = sorted((s for s in pe.sections
+                            if s.name.startswith(".wseg")),
+                           key=lambda s: s.vaddr)
+            intervals = sorted(art.group.intervals, key=lambda iv: iv.base)
+            assert [(s.vaddr, s.vsize) for s in wsegs] == \
+                [(iv.base, iv.end - iv.base) for iv in intervals]
+            for sec, iv in zip(wsegs, intervals):
+                data = sec.data[:sec.vsize]
+                assert len(data) == len(iv.bytes)
                 diff = [i for i, (a, b) in
-                        enumerate(zip(sec.data, sec_raw.data)) if a != b]
+                        enumerate(zip(data, iv.bytes)) if a != b]
                 for off in diff:
                     va = sec.vaddr + off
                     assert any(lo <= va < lo + ln

@@ -144,15 +144,19 @@ class TestUnpack:
                 f"to 0x400000") in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("size", ["100", "0", "12288", "8388608"])
-    def test_bad_page_size_option_exits_1(self, d1_files, tmp_path, capsys,
-                                          size):
+    @pytest.mark.parametrize("option", [["--page-size", "8192"],
+                                        ["--no-patch"]],
+                             ids=["page-size", "no-patch"])
+    def test_removed_options_are_usage_errors(self, option, d1_files,
+                                              tmp_path, capsys):
+        # the page size is the trace header's, and call sites are always
+        # patched
         trace, _ = d1_files
         out = tmp_path / "o"
-        assert main(["unpack", str(trace), "-o", str(out),
-                     "--page-size", size]) == 1
-        assert f"--page-size: page size {size} is not a power of two" in \
-            capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["unpack", str(trace), "-o", str(out), *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + option[0] in capsys.readouterr().err
         assert not out.exists()
 
     def test_determinism_byte_identical_outputs(self, d1_files, tmp_path):
@@ -170,17 +174,6 @@ class TestUnpack:
         assert files1 == files2
         for rel in files1:
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
-
-    def test_no_patch_leaves_sites_and_sidecars_everything(self, d1_files,
-                                                           tmp_path):
-        trace, _ = d1_files
-        out = tmp_path / "np"
-        assert main(["unpack", str(trace), "-o", str(out), "--no-patch"]) == 0
-        sidecars = list(out.glob("pid*/wave1/group*.xrefs.json"))
-        assert sidecars
-        entries = json.loads(sidecars[0].read_text())
-        api = [e for e in entries if e["kind"] == "api"]
-        assert api and all(e["patched"] is False for e in api)
 
     def test_taint_log_written(self, d1_files, tmp_path):
         trace, _ = d1_files
@@ -254,6 +247,22 @@ class TestOutputDirectory:
         assert main(["unpack", str(trace), "-o", str(out),
                      "--report", str(out / "report.json")]) == 0
         assert json.loads((out / "report.json").read_text())["summary"]
+        assert main(["check", str(trace), str(out)]) == 0
+
+    def test_failed_report_copy_leaves_the_tree_as_it_was(self, d1_files,
+                                                          tmp_path, capsys):
+        trace, _ = d1_files
+        out = tmp_path / "out"
+        assert main(["unpack", str(trace), "-o", str(out)]) == 0
+        before = _tree(out)
+        assert main(["unpack", str(trace), "-o", str(out), "--no-timing",
+                     "--report", str(tmp_path / "missing" / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+        assert _tree(out) == before
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["api_calls.jsonl", "pid100", "report.json"]
+        assert main(["check", str(trace), str(out)]) == 0
 
     def test_negative_pid_tree_is_owned(self, tmp_path, capsys):
         # an unpack names the process pid-100; a rerun replaces that tree
@@ -437,18 +446,24 @@ class TestCheck:
         assert captured.err.startswith("error: ")
         assert "wave5/instrs.jsonl" in captured.err
 
-    def test_page_size_comes_from_report(self, d1_files, tmp_path, capsys):
+    @pytest.mark.parametrize("option", [
+        ["--no-timing"], ["--strict-semantics"],
+        ["--report", "{dir}/report-copy.json"],
+        ["--taint-log", "{out}/taint.log"]],
+        ids=["no-timing", "strict-semantics", "report", "taint-log"])
+    def test_every_option_writes_a_tree_that_checks_clean(
+            self, option, d1_files, tmp_path, capsys):
         trace, _ = d1_files
         out = tmp_path / "out"
+        out.mkdir()  # the taint log is written before the tree
         assert main(["unpack", str(trace), "-o", str(out),
-                     "--page-size", "8192"]) == 0
-        assert json.loads((out / "report.json").read_text())["page_size"] \
-            == 8192
-        pages = sorted(p.name for p in out.glob("pid100/wave0/pages/*"))
-        assert pages and all(int(p[:-4], 16) % 8192 == 0 for p in pages)
+                     *(a.format(dir=tmp_path, out=out) for a in option)]) == 0
         capsys.readouterr()
         assert main(["check", str(trace), str(out)]) == 0
-        assert "OK, 0 violations" in capsys.readouterr().out
+        assert capsys.readouterr().out == "OK, 0 violations\n"
+        if option[0] == "--report":
+            assert (tmp_path / "report-copy.json").read_bytes() == \
+                (out / "report.json").read_bytes()
 
 
 def _write_lines(path, keep):
@@ -500,16 +515,32 @@ _DAMAGED_TREES = {
     "missing-directory": (
         lambda out: shutil.rmtree(out),
         1, "No such file or directory"),
+    # the page size is the trace header's: a stored one is only compared
     "report-page-size-not-power-of-two": (
         lambda out: _set_page_size(out, 12288),
-        1, "report.json: page size 12288 is not a power of two"),
+        1, "integrity: report.json: differs\n"),
     "report-page-size-too-large": (
         lambda out: _set_page_size(out, 1 << 34),
-        1, "report.json: page size 17179869184 is not a power of two from "
-           "0x1000 to 0x400000"),
+        1, "integrity: report.json: differs\n"),
     "report-page-size-string": (
         lambda out: _set_page_size(out, "4096"),
-        1, "report.json: page size '4096' is not a power of two"),
+        1, "integrity: report.json: differs\n"),
+    "report-not-json": (
+        lambda out: (out / "report.json").write_text("not json"),
+        1, "integrity: report.json: differs\n"),
+    # anything under a name a rerun would replace is unpack's
+    "stray-file-in-pid-directory": (
+        lambda out: (out / "pid100" / "stray.txt").write_text("x"),
+        1, "integrity: pid100/stray.txt: not rendered\n"),
+    "stray-directory-in-pid-directory": (
+        lambda out: (out / "pid100" / "wavex").mkdir(),
+        1, "integrity: pid100/wavex: not rendered\n"),
+    "empty-pid-directory": (
+        lambda out: (out / "pid7").mkdir(),
+        1, "integrity: pid7: not rendered\n"),
+    "pid-file": (
+        lambda out: (out / "pid7").write_text("x"),
+        1, "integrity: pid7: not rendered\n"),
 }
 
 
@@ -525,7 +556,9 @@ class TestCheckDamagedTree:
         capsys.readouterr()
         assert main(["check", str(trace), str(out)]) == code
         captured = capsys.readouterr()
-        assert text in (captured.err if code else captured.out)
+        # integrity lines and a clean result are printed, errors go to stderr
+        printed = text.startswith("integrity: ") or not code
+        assert text in (captured.out if printed else captured.err)
         assert "Traceback" not in captured.err
 
 
@@ -570,8 +603,16 @@ def _damage(out: Path, draw):
         with open(path, "ab") as fh:
             fh.write(draw(st.binary(min_size=1, max_size=8)))
     elif kind == "stray":
-        dirs = sorted({p.parent for p in files if p.parent != out})
-        (draw(st.sampled_from(dirs)) / "stray").write_bytes(b"")
+        # a file in a directory unpack wrote, or a pid<N> entry of its own
+        dirs = sorted({p.parent for p in files if p.parent != out}
+                      | set(out.glob("pid*")))
+        where = draw(st.sampled_from([*dirs, out]))
+        if where != out:
+            (where / "stray").write_bytes(b"")
+        elif draw(st.booleans()):
+            (out / "pid999").mkdir()
+        else:
+            (out / "pid999").write_bytes(b"")
     else:
         pid = draw(st.sampled_from(
             sorted(p.name for p in out.glob("pid*")) + ["pid999"]))
@@ -766,16 +807,6 @@ class TestStreamedTrace:
         assert capsys.readouterr().err == \
             f"error: {trace}: line {line}: unknown event kind 'wat'\n"
         assert not out.exists()
-
-    def test_bad_page_size_is_reported_before_the_trace_is_read(
-            self, tmp_path, capsys):
-        trace, out = tmp_path / "t.jsonl", tmp_path / "out"
-        _write_taint_dies_early_trace(trace)
-        assert main(["unpack", str(trace), "-o", str(out),
-                     "--page-size", "100"]) == 1
-        assert capsys.readouterr().err == ("error: --page-size: page size 100 "
-                                           "is not a power of two from 0x1000 "
-                                           "to 0x400000\n")
 
     @pytest.mark.parametrize("kind", ["file", "symlink", "fifo"])
     def test_bad_trace_leaves_an_existing_taint_log_alone(self, kind,

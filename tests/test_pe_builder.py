@@ -183,13 +183,6 @@ class TestPatch:
         assert diffs and all(0x10 <= i < 0x16 for i in diffs)
         assert len(patched[0]) == len(original)
 
-    def test_disabled_patching_keeps_bytes_and_sidecars_all(self):
-        old = b"\xff\x15\x78\x56\x34\x12"
-        group, table = self._make(old)
-        patched, sidecar = patch_branches(group, table, enable=False)
-        assert patched[0] == group.intervals[0].bytes
-        assert sidecar[0]["patched"] is False
-
 
 class TestEmit:
     def _artifact(self):
