@@ -83,6 +83,15 @@ def cmd_unpack(args) -> int:
         print(f"error: --taint-log: {args.taint_log} is the trace being read",
               file=sys.stderr)
         return 1
+    report_json = Path(args.out, "report.json").resolve()
+    for option, path in (("--taint-log", args.taint_log),
+                         ("--report", args.report)):
+        # the new tree replaces it, unless it is a --report copy of its own
+        if (path and pipeline.tree_place(path, args.out) == "owned"
+                and (option, Path(path).resolve()) != ("--report", report_json)):
+            print(f"error: {option}: {path} is replaced by the tree unpack "
+                  f"writes to {args.out}", file=sys.stderr)
+            return 1
     return _streamed(args.trace, lambda trace: _unpack(args, trace))
 
 
@@ -98,6 +107,8 @@ def _unpack(args, trace: SystemTrace) -> int:
         if log:
             log.seek(0)
             try:
+                if pipeline.tree_place(args.taint_log, args.out) == "inside":
+                    Path(args.out).mkdir(parents=True, exist_ok=True)
                 with open(args.taint_log, "w", encoding="utf-8") as fh:
                     shutil.copyfileobj(log, fh)
             except OSError as exc:

@@ -150,6 +150,17 @@ _BATCH = 1024
 _PAIRS = b", [%d, %d]" * _BATCH
 
 
+def tree_place(path, out_dir) -> str:
+    """Where `path` lies in the output directory `out_dir`: "outside",
+    "owned" (`out_dir` or at or below a name unpack writes) or "inside"."""
+    try:
+        rel = Path(path).resolve().relative_to(Path(out_dir).resolve())
+    except ValueError:
+        return "outside"
+    owned = not rel.parts or _OWNED_NAME.fullmatch(rel.parts[0])
+    return "owned" if owned else "inside"
+
+
 def _render(result: PipelineResult, report: dict):
     """Yield (relative path, byte chunks) of each output file.
 
@@ -354,7 +365,7 @@ def check_outputs(trace: SystemTrace, out_dir) -> tuple[list[str], list[Violatio
     report = _untimed(result.report)
     try:
         stored_report = json.loads((out / "report.json").read_bytes())
-    except (FileNotFoundError, ValueError):  # reported below
+    except (OSError, ValueError):  # reported below
         stored_report = None
     if isinstance(stored_report, dict) and "timing" in stored_report:
         report["timing"] = stored_report["timing"]
@@ -369,6 +380,8 @@ def check_outputs(trace: SystemTrace, out_dir) -> tuple[list[str], list[Violatio
                     issues.append(f"{rel}: differs")
         except (FileNotFoundError, NotADirectoryError):
             issues.append(f"{rel}: missing")
+        except IsADirectoryError:
+            issues.append(f"{rel}: differs")
         while rel not in known:
             known.add(rel)
             rel = rel.rpartition("/")[0]

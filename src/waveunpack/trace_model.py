@@ -1,7 +1,7 @@
 """Whole-system instruction trace: JSON-Lines format, validation, replay store.
 
-A trace file is one header line followed by one event object per line.
-Event kinds:
+A trace file is one header line followed by one event object per line;
+a line ends at LF. Event kinds:
 
   image    {kind, pid, base, gbase, name, bytes:hex}
   module   {kind, pid, base, name, exports:[{name, rva}]}
@@ -17,6 +17,7 @@ shared mappings stay observable across processes.
 from __future__ import annotations
 
 import gc
+import io
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -318,9 +319,9 @@ def _loads(raw: bytes, line):
         raise TraceFormatError(f"invalid JSON: {exc}", line) from None
 
 
-def _read_header(line: bytes | None) -> int:
+def _read_header(line: bytes) -> int:
     """The page size of the trace whose first line is `line`, or raise."""
-    if line is None or not line.strip():
+    if not line.strip():
         raise TraceFormatError("empty stream: missing header line")
     header = _loads(line, 1)
     if not isinstance(header, dict) or "format" not in header:
@@ -332,64 +333,37 @@ def _read_header(line: bytes | None) -> int:
     return _header_page_size(header.get("page_size", DEFAULT_PAGE_SIZE))
 
 
-def _decoded(numbered_lines):
-    """Yield (line, event) for each non-blank (line, raw bytes) pair."""
-    for n, raw in numbered_lines:
-        if raw and not raw.isspace():
-            yield n, _event_from_obj(_loads(raw, n), n)
-
-
-def parse_trace(data) -> SystemTrace:
-    """Parse a JSON-Lines byte stream into a validated SystemTrace.
+def parse_trace(data: bytes) -> SystemTrace:
+    """iter_trace over a JSON-Lines byte string, its events in a list.
 
     Parsing builds no reference cycles, so the cycle collector is paused
     meanwhile: with it running, its repeated passes over the growing event
     list cost about as much as decoding the JSON. The first collection
     after the pause still examines the new objects once.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    lines = data.splitlines()
-    trace = SystemTrace(page_size=_read_header(lines[0] if lines else None))
     collecting = gc.isenabled()
     gc.disable()
     try:
-        trace.events.extend(_check_stream(
-            _decoded(enumerate(lines[1:], start=2))))
+        trace = iter_trace(io.BytesIO(data))
+        trace.events = list(trace.events)
     finally:
         if collecting:
             gc.enable()
     return trace
 
 
-def _numbered_lines(fh):
-    """Yield (line number, line) of a binary stream, split as
-    bytes.splitlines() splits: at LF, at CR LF and at a bare CR."""
-    n = 0
-    for raw in fh:
-        if b"\r" in raw:
-            for part in raw.splitlines():
-                n += 1
-                yield n, part
-        else:
-            n += 1
-            yield n, raw[:-1] if raw[-1:] == b"\n" else raw
-
-
 def iter_trace(fh) -> SystemTrace:
     """A SystemTrace whose events are read from the binary stream `fh` as
-    they are consumed.
-
-    The header is read and checked at once. Each event is validated as
-    parse_trace validates it, so iterating the events raises the
-    TraceFormatError parse_trace would raise, once the bad line is read.
-    The events can be iterated once; `fh` must stay open meanwhile.
-    """
-    lines = _numbered_lines(fh)
-    first = next(lines, None)
-    page_size = _read_header(first[1] if first else None)
-    return SystemTrace(events=_check_stream(_decoded(lines)),
-                       page_size=page_size)
+    they are consumed, once, so `fh` must stay open meanwhile. The header
+    is read and checked at once; an event's TraceFormatError is raised
+    when its line is read. A line ends at LF; a CR before it is JSON
+    whitespace, and a bare CR belongs to its line."""
+    page_size = _read_header(fh.readline())
+    # the line end goes first, so CR LF lines take _loads' fast path too
+    events = ((n, _event_from_obj(_loads(line, n), n))
+              for n, raw in enumerate(fh, start=2)
+              if (line := raw.rstrip(b"\r\n")) and not line.isspace())
+    return SystemTrace(events=_check_stream(events), page_size=page_size)
 
 
 def _check_stream(numbered_events):

@@ -241,6 +241,40 @@ class TestOutputDirectory:
         assert names == ["api_calls.jsonl", "pid100", "report.json",
                          "taint.log"]
 
+    @pytest.mark.parametrize("option", ["--taint-log", "--report"])
+    @pytest.mark.parametrize("rel", ["api_calls.jsonl", "pid100/wave0/x",
+                                     "pid7/x", "."])
+    def test_path_the_tree_replaces_exits_1(self, option, rel, d1_files,
+                                            tmp_path, capsys):
+        trace, _ = d1_files
+        out = tmp_path / "out"
+        assert main(["unpack", str(trace), "-o", str(out)]) == 0
+        before = _tree(out)
+        capsys.readouterr()
+        path = f"{out}/{rel}"
+        # refused before the trace is opened: this one does not exist
+        assert main(["unpack", str(tmp_path / "none.jsonl"), "-o", str(out),
+                     option, path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {option}: {path} is replaced by the tree unpack "
+            f"writes to {out}\n")
+        assert _tree(out) == before
+
+    def test_taint_log_creates_the_output_directory(self, d1_files, tmp_path,
+                                                    capsys):
+        trace, _ = d1_files
+        out = tmp_path / "new" / "out"
+        # -o is made for the log, the directories below it are not
+        assert main(["unpack", str(trace), "-o", str(out),
+                     "--taint-log", str(out / "logs" / "taint.log")]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert main(["unpack", str(trace), "-o", str(out),
+                     "--taint-log", str(out / "taint.log")]) == 0
+        assert "tainted_instr:" in (out / "taint.log").read_text()
+        capsys.readouterr()
+        assert main(["check", str(trace), str(out)]) == 0
+        assert capsys.readouterr().out == "OK, 0 violations\n"
+
     def test_report_path_inside_output_directory(self, d1_files, tmp_path):
         trace, _ = d1_files
         out = tmp_path / "out"
@@ -455,7 +489,6 @@ class TestCheck:
             self, option, d1_files, tmp_path, capsys):
         trace, _ = d1_files
         out = tmp_path / "out"
-        out.mkdir()  # the taint log is written before the tree
         assert main(["unpack", str(trace), "-o", str(out),
                      *(a.format(dir=tmp_path, out=out) for a in option)]) == 0
         capsys.readouterr()
@@ -528,6 +561,15 @@ _DAMAGED_TREES = {
     "report-not-json": (
         lambda out: (out / "report.json").write_text("not json"),
         1, "integrity: report.json: differs\n"),
+    # a rendered path that is a directory is read as damage, not raised
+    "report-directory": (
+        lambda out: ((out / "report.json").unlink(),
+                     (out / "report.json").mkdir()),
+        1, "integrity: report.json: differs\n"),
+    "groups-directory": (
+        lambda out: ((out / "pid100" / "wave1" / "groups.json").unlink(),
+                     (out / "pid100" / "wave1" / "groups.json").mkdir()),
+        1, "integrity: pid100/wave1/groups.json: differs\n"),
     # anything under a name a rerun would replace is unpack's
     "stray-file-in-pid-directory": (
         lambda out: (out / "pid100" / "stray.txt").write_text("x"),

@@ -19,6 +19,7 @@ from waveunpack.pipeline import (
     _pair_chunks,
     analyze,
     check_outputs,
+    tree_place,
     write_outputs,
 )
 from waveunpack.scenario_gen import (
@@ -265,6 +266,20 @@ class TestCheckOutputs:
         issues, violations = check_outputs(trace, tmp_path / "o")
         assert any("shadow" in i for i in issues)
         assert violations  # tampered byte also breaks provenance checks
+
+
+@pytest.mark.parametrize("rel, place", [
+    ("../elsewhere.log", "outside"), ("taint.log", "inside"),
+    ("logs/taint.log", "inside"), ("report.json.bak", "inside"),
+    ("pid", "inside"), (".", "owned"), ("report.json", "owned"),
+    ("api_calls.jsonl", "owned"), ("pid100", "owned"),
+    ("pid100/wave0/taint.log", "owned"), ("pid-3/x", "owned"),
+    ("logs/../api_calls.jsonl", "owned")])
+def test_tree_place(rel, place, tmp_path):
+    out = tmp_path / "out"  # need not exist
+    assert tree_place(f"{out}/{rel}", out) == place
+    (tmp_path / "link").symlink_to(out, target_is_directory=True)
+    assert tree_place(f"{tmp_path}/link/{rel}", out) == place
 
 
 def _two_function_site_trace(site: bytes):

@@ -244,19 +244,6 @@ def test_round_trip_property(trace):
     assert write_trace(parse_trace(blob)) == blob
 
 
-def _read_both(data: bytes):
-    """What parse_trace and a fully iterated iter_trace make of `data`:
-    (page size, events), or the error's (text, line)."""
-    def outcome(read):
-        try:
-            trace = read()
-            return trace.page_size, list(trace.events)
-        except TraceFormatError as exc:
-            return str(exc), exc.line
-    return (outcome(lambda: parse_trace(data)),
-            outcome(lambda: iter_trace(io.BytesIO(data))))
-
-
 _HEADER = b'{"format":1,"page_size":4096}'
 _BARE_INSTR = json.dumps({"kind": "instr", "seq": 1, "pid": 1, "tid": 1,
                           "vaddr": 0x400000, "gaddr": 0x1000, "bytes": "90",
@@ -273,43 +260,83 @@ def _image_line(base, size):
                        "bytes": "cc" * size}).encode()
 
 
-# the malformed inputs the tests above give parse_trace, plus line ends
+_JSON_ERROR = "invalid JSON: Expecting value"
+_NO_HEADER = (None, "empty stream: missing header line")
+
+# the inputs the tests above give parse_trace, plus line ends, each with the
+# line and message start of its error, or None where it reads as _GOOD does
 _MALFORMED = {
-    **{f"stream fault: {name}": _lines_of(events)
-       for name, (events, _, _) in _STREAM_FAULTS.items()},
-    "stream fault before format fault":
+    **{f"stream fault: {name}": (_lines_of(events), (line, message))
+       for name, (events, line, message) in _STREAM_FAULTS.items()},
+    "stream fault before format fault": (
         _lines_of([_image(), _image()]) + b"not json\n",
-    "format fault before stream fault":
+        (3, "multiple image events")),
+    "format fault before stream fault": (
         _lines_of([_image()]) + b"not json\n"
         + _lines_of([_image()]).split(b"\n", 1)[1],
-    **{f"image at {base:#x} of {size} bytes":
-       write_trace(SystemTrace()) + _image_line(base, size) + b"\n"
+        (3, _JSON_ERROR)),
+    **{f"image at {base:#x} of {size} bytes": (
+        write_trace(SystemTrace()) + _image_line(base, size) + b"\n",
+        (2, f"image at {base:#x} of {size:#x} bytes does not fit in 32 bits"))
        for base, size in [(-1, 16), ((1 << 32) - 15, 16), (1 << 32, 1)]},
-    "repeated seq": _GOOD + _GOOD.splitlines()[2] + b"\n",
-    "instr before image": b"\n".join([_HEADER, _BARE_INSTR, _BARE_IMAGE]),
-    "not json": _HEADER + b"\nnot json\n",
-    "empty": b"",
-    **{f"header page size {size!r}":
-       json.dumps({"format": 1, "page_size": size}).encode() + b"\n"
+    "repeated seq": (_GOOD + _GOOD.splitlines()[2] + b"\n",
+                     (4, "non-monotone seq 1 (previous 1)")),
+    "instr before image": (
+        b"\n".join([_HEADER, _BARE_INSTR, _BARE_IMAGE]),
+        (3, "instr event before any image event in the malware pid 1")),
+    "not json": (_HEADER + b"\nnot json\n", (2, _JSON_ERROR)),
+    "empty": (b"", _NO_HEADER),
+    **{f"header page size {size!r}": (
+        json.dumps({"format": 1, "page_size": size}).encode() + b"\n",
+        (1, f"page size {size!r} is not a power of two"))
        for size in [0, 100, 0x800, 0x3000, -4096, "4096", None]},
-    **{f"undecodable {line[:20]!r}": _HEADER + b"\n" + line + b"\n"
-       for line in [b'{"kind": "procexit", "pid": 1} x', b'{"kind": "procexit"',
-                    b"\xff{}", b"[1] [2]", b"[" * 100_000]},
-    "empty object": _GOOD + b"{}\n",
-    "blank header": b"\n" + _GOOD,
-    "bare CR header": b"\r" + _GOOD,
-    "CR inside a line": _GOOD[:-20] + b"\r" + _GOOD[-20:],
-    "bad line after CR": _GOOD.replace(b"\n", b"\r") + b"{}",
-    "bad line after CR LF": _GOOD.replace(b"\n", b"\r\n") + b"\r\r\n{}",
-    "padded lines": b"\xef\xbb\xbf" + _GOOD.replace(b"\n", b" \t\n", 1),
+    **{f"undecodable {line[:20]!r}": (_HEADER + b"\n" + line + b"\n",
+                                      (2, "invalid JSON: " + error))
+       for line, error in [
+           (b'{"kind": "procexit", "pid": 1} x', "Extra data"),
+           (b'{"kind": "procexit"', "Expecting ',' delimiter"),
+           (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
+           (b"[1] [2]", "Extra data"),
+           (b"[" * 100_000, "")]},
+    "empty object": (_GOOD + b"{}\n", (4, "missing key 'kind'")),
+    "blank header": (b"\n" + _GOOD, _NO_HEADER),
+    # a CR before the LF, or on its own, is whitespace within its line
+    "bare CR header": (b"\r" + _GOOD, None),
+    "CR inside a line": (_GOOD[:-20] + b"\r" + _GOOD[-20:],
+                         (3, "invalid JSON: Invalid control character")),
+    "bad line after CR": (_GOOD.replace(b"\n", b"\r") + b"{}",
+                          (1, "invalid JSON: Extra data")),
+    "bad line after CR LF": (
+        _GOOD.replace(b"\n", b"\r\n") + b"\r\r\n{}",
+        (5, "missing key 'kind'")),
+    "padded lines": (b"\xef\xbb\xbf" + _GOOD.replace(b"\n", b" \t\n", 1),
+                     None),
 }
+
+
+def _outcome(read):
+    """The (line, message) of the error read() raises, with its "line N: "
+    dropped, or the events of the trace it returns."""
+    try:
+        return list(read().events)
+    except TraceFormatError as exc:
+        prefix = "" if exc.line is None else f"line {exc.line}: "
+        assert str(exc).startswith(prefix)
+        return exc.line, str(exc)[len(prefix):]
 
 
 class TestIterTrace:
     @pytest.mark.parametrize("name", sorted(_MALFORMED))
     def test_agrees_with_parse_trace(self, name):
-        parsed, streamed = _read_both(_MALFORMED[name])
-        assert streamed == parsed
+        """A stream and parse_trace's bytes read alike, as the table says."""
+        data, expected = _MALFORMED[name]
+        streamed = _outcome(lambda: iter_trace(io.BytesIO(data)))
+        assert _outcome(lambda: parse_trace(data)) == streamed
+        if expected is None:
+            assert streamed == parse_trace(_GOOD).events
+        else:
+            line, message = streamed
+            assert line == expected[0] and message.startswith(expected[1])
 
     @pytest.mark.parametrize("sid", SCENARIO_IDS)
     def test_scenario_events_stream_as_parsed(self, sid):
@@ -317,6 +344,11 @@ class TestIterTrace:
         trace = iter_trace(io.BytesIO(blob))
         assert not isinstance(trace.events, list)
         assert list(trace.events) == parse_trace(blob).events
+
+    @pytest.mark.parametrize("sid", SCENARIO_IDS)
+    def test_crlf_trace_parses_as_lf(self, sid):
+        blob = write_trace(generate_scenario(sid, 4)[0])
+        assert parse_trace(blob.replace(b"\n", b"\r\n")) == parse_trace(blob)
 
     def test_header_is_checked_before_any_event_is_read(self):
         with pytest.raises(TraceFormatError, match="line 1: page size 0"):
@@ -338,10 +370,12 @@ def scenario_blobs():
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_iter_trace_agrees_on_damaged_lines(scenario_blobs, data):
-    """Corrupt, blank or split one line of a scenario trace: iter_trace
-    yields what parse_trace returns, or raises its error."""
-    lines = data.draw(st.sampled_from(scenario_blobs)).split(b"\n")
+def test_damaged_line_fails_at_or_after_it(scenario_blobs, data):
+    """Corrupt, blank or split one line of a scenario trace: reading it
+    fails with a TraceFormatError naming that line or a later one, or
+    yields the undamaged events up to that line."""
+    blob = data.draw(st.sampled_from(scenario_blobs))
+    lines = blob.split(b"\n")
     i = data.draw(st.integers(0, len(lines) - 1))
     line = lines[i]
     at = data.draw(st.integers(0, len(line)))
@@ -355,8 +389,12 @@ def test_iter_trace_agrees_on_damaged_lines(scenario_blobs, data):
     else:
         line = line[:at] + data.draw(st.sampled_from([b"\r", b"\r\n"])) + line[at:]
     lines[i] = line
-    parsed, streamed = _read_both(b"\n".join(lines))
-    assert streamed == parsed
+    outcome = _outcome(lambda: iter_trace(io.BytesIO(b"\n".join(lines))))
+    if isinstance(outcome, tuple):  # line numbers count from 1
+        assert outcome[0] >= i + 1 if outcome[0] is not None else i == 0
+    else:  # events sit on lines 2, 3, ...: those before line i + 1
+        kept = max(i - 1, 0)
+        assert outcome[:kept] == parse_trace(blob).events[:kept]
 
 
 class TestObservedMemory:
