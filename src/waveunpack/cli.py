@@ -106,12 +106,18 @@ def _unpack(args, trace: SystemTrace) -> int:
             result, error = None, exc
         if log:
             log.seek(0)
+            made = []  # directories made for the log, deepest first
             try:
                 if pipeline.tree_place(args.taint_log, args.out) == "inside":
-                    Path(args.out).mkdir(parents=True, exist_ok=True)
+                    out = Path(args.out).resolve()
+                    made = [d for d in (out, *out.parents) if not d.exists()]
+                    out.mkdir(parents=True, exist_ok=True)
                 with open(args.taint_log, "w", encoding="utf-8") as fh:
                     shutil.copyfileobj(log, fh)
             except OSError as exc:
+                for d in made:
+                    with contextlib.suppress(OSError):
+                        d.rmdir()
                 print(f"error: --taint-log: {exc}", file=sys.stderr)
                 return 1
     if error:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import bytemap, random_micro_trace
+from conftest import TaintedIds, bytemap, random_micro_trace
 from oracles import decode, naive_init, naive_tainted, naive_update, read_pe
 from waveunpack.pe_builder import build_artifact
 from waveunpack.pipeline import analyze, write_outputs
@@ -115,9 +115,13 @@ def test_criterion_2_wave_semantics(full_sweep):
 
 
 def test_criterion_3_taint_oracle_equivalence():
+    read_ids = TaintedIds()
+
     def naive_matches(pset, state):
         mem, regs = state
-        return pset.tainted_mem == mem and pset.tainted_regs == regs
+        return (mem == read_ids(pset.tainted_mem)
+                and len(pset.tainted_mem) == len(mem)
+                and pset.tainted_regs == regs)
 
     events_checked = 0
     for seed in range(50):

@@ -268,6 +268,8 @@ class TestOutputDirectory:
         assert main(["unpack", str(trace), "-o", str(out),
                      "--taint-log", str(out / "logs" / "taint.log")]) == 1
         assert "No such file or directory" in capsys.readouterr().err
+        # and the failed run takes away the directories it made
+        assert not (tmp_path / "new").exists()
         assert main(["unpack", str(trace), "-o", str(out),
                      "--taint-log", str(out / "taint.log")]) == 0
         assert "tainted_instr:" in (out / "taint.log").read_text()

@@ -1,14 +1,29 @@
 from __future__ import annotations
 
-from oracles import naive_init, naive_tainted, naive_update
-from waveunpack.scenario_gen import generate_scenario
+import tracemalloc
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import TaintedIds, random_micro_trace, tainted_ids, tainted_memory
+from oracles import (
+    naive_init,
+    naive_tainted,
+    naive_update,
+    reference_classify_case,
+)
+from waveunpack.cli import main
+from waveunpack.scenario_gen import SCENARIO_IDS, generate_scenario
 from waveunpack.taint_engine import (
     PropagationSet,
+    TaintedMemory,
     init_taint,
     is_tainted_instruction,
     update,
 )
-from waveunpack.trace_model import MemLoc, TraceEvent
+from waveunpack.trace_model import MemLoc, TraceEvent, write_trace
 from waveunpack.wave_collector import collect_waves
 
 
@@ -25,7 +40,8 @@ def _instr(seq=1, pid=1, gaddr=0x1000, code=b"\x90", **kw):
 class TestInitTaint:
     def test_whole_image_tainted(self):
         pset = init_taint(_image(size=4096, gbase=0x1000))
-        assert pset.tainted_mem == set(range(0x1000, 0x2000))
+        assert tainted_ids(pset.tainted_mem) == set(range(0x1000, 0x2000))
+        assert len(pset.tainted_mem) == 4096
         assert not pset.tainted_regs
 
     def test_zero_length_image(self):
@@ -37,6 +53,18 @@ class TestInitTaint:
         image = collect_waves(trace).image
         pset = init_taint(image)
         assert len(pset.tainted_mem) == len(image.bytes)
+
+    def test_image_costs_under_two_bytes_per_id(self):
+        # a set of ints held about 64 MiB for this image
+        image = _image(size=1 << 20)
+        tracemalloc.start()
+        try:
+            pset = init_taint(image)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pset.tainted_mem) == 1 << 20
+        assert peak < 2 << 20
 
 
 class TestUpdate:
@@ -51,7 +79,7 @@ class TestUpdate:
 
     def test_benign_cross_process_write_taints_but_skips_twrites(self):
         # benign instruction moving a tainted byte into another process
-        pset = PropagationSet(tainted_mem={0x100})
+        pset = PropagationSet(tainted_mem=tainted_memory({0x100}))
         tw = {}
         ev = _instr(pid=1, gaddr=0x9000,
                     reads=(MemLoc(g=0x100, v=0x500000, space_pid=1, val=7),),
@@ -102,10 +130,10 @@ class TestInclusionPredicate:
     def test_any_byte_of_span_counts(self):
         # brute force across all single-tainted-byte positions
         for k in range(5):
-            pset = PropagationSet(tainted_mem={0x2000 + k})
+            pset = PropagationSet(tainted_mem=tainted_memory({0x2000 + k}))
             ev = _instr(gaddr=0x2000, code=b"\x90" * 5)
             assert is_tainted_instruction(ev, pset)
-        pset = PropagationSet(tainted_mem={0x2005})
+        pset = PropagationSet(tainted_mem=tainted_memory({0x2005}))
         assert not is_tainted_instruction(_instr(gaddr=0x2000,
                                                  code=b"\x90" * 5), pset)
 
@@ -115,19 +143,77 @@ class TestInclusionPredicate:
     def test_predicate_is_pure(self):
         pset = init_taint(_image())
         ev = _instr(gaddr=0x1000)
-        mem, regs = set(pset.tainted_mem), set(pset.tainted_regs)
+        mem, regs = tainted_ids(pset.tainted_mem), set(pset.tainted_regs)
         for _ in range(3):
             assert is_tainted_instruction(ev, pset)
-        assert pset.tainted_mem == mem
+        assert tainted_ids(pset.tainted_mem) == mem
+        assert len(pset.tainted_mem) == len(mem)
         assert pset.tainted_regs == regs
 
+    @pytest.mark.parametrize("gaddr", [0x20fe, -3, (1 << 32) + 0xfd])
+    def test_span_across_a_chunk_boundary(self, gaddr):
+        # only the last byte, in the next 256-id chunk, is tainted
+        ev = _instr(gaddr=gaddr, code=b"\x90" * 5)
+        pset = PropagationSet(tainted_mem=tainted_memory({gaddr + 4}))
+        assert is_tainted_instruction(ev, pset)
+        pset = PropagationSet(tainted_mem=tainted_memory({gaddr + 5}))
+        assert not is_tainted_instruction(ev, pset)
+        # and the same span seen by update's own code-span test
+        pset = PropagationSet(tainted_mem=tainted_memory({gaddr + 4}))
+        update(_instr(gaddr=gaddr, code=b"\x90" * 5, wregs=("eax",)),
+               pset, {})
+        assert pset.tainted_regs == {(1, 1, "eax")}
 
-def _naive_state_matches(pset, state):
+
+# ids around chunk edges, below zero and above 32 bits
+_BASES = (-(1 << 40), -512, 0, (1 << 32) - 256, 1 << 32, 1 << 40)
+_ids = st.builds(lambda base, off: base + off, st.sampled_from(_BASES),
+                 st.integers(-300, 600))
+_spans = st.tuples(_ids, st.integers(-3, 700))
+_ops = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["add", "discard", "in"]), _ids),
+    st.tuples(st.sampled_from(["add_span", "isdisjoint"]), _spans),
+    st.tuples(st.just("len"), st.none())), max_size=60)
+
+
+class TestTaintedMemory:
+    @settings(max_examples=100, deadline=None)
+    @given(_ops)
+    @example([("add", 5), ("add", 300), ("add_span", (0, 600)), ("len", None),
+              ("discard", 5), ("add_span", (0, 0)), ("add_span", (4, 2)),
+              ("isdisjoint", (5, 0)), ("isdisjoint", (5, 1)), ("len", None)])
+    def test_matches_a_set(self, ops):
+        mem, model, read = TaintedMemory(), set(), TaintedIds()
+        for op, arg in ops:
+            if op == "add":
+                mem.add(arg)
+                model.add(arg)
+            elif op == "discard":
+                mem.discard(arg)
+                model.discard(arg)
+            elif op == "in":
+                assert (arg in mem) == (arg in model)
+            elif op == "add_span":
+                start, n = arg
+                mem.add_span(start, start + n)
+                model.update(range(start, start + n))
+            elif op == "isdisjoint":
+                start, n = arg
+                span = range(start, start + n)
+                assert mem.isdisjoint(span) == model.isdisjoint(span)
+            assert len(mem) == len(model)
+            assert model == read(mem)
+        assert model == tainted_ids(mem)
+
+
+def _naive_state_matches(pset, state, read_ids):
     mem, regs = state
-    return pset.tainted_mem == mem and pset.tainted_regs == regs
+    return (mem == read_ids(pset.tainted_mem)
+            and len(pset.tainted_mem) == len(mem) and pset.tainted_regs == regs)
 
 
 def test_oracle_equivalence_on_micro_traces(micro_trace):
+    read_ids = TaintedIds()
     for seed in range(6):
         trace = micro_trace(seed, 400)
         image = collect_waves(trace).image
@@ -135,12 +221,12 @@ def test_oracle_equivalence_on_micro_traces(micro_trace):
         state = naive_init(image)
         tw_prod: dict = {}
         tw_ref: dict = {}
-        assert _naive_state_matches(pset, state)
+        assert _naive_state_matches(pset, state, read_ids)
         for ev in [ev for ev in trace.events if ev.kind == "instr"]:
             assert is_tainted_instruction(ev, pset) == naive_tainted(ev, state)
             update(ev, pset, tw_prod)
             state, tw_ref = naive_update(ev, state, tw_ref)
-            assert _naive_state_matches(pset, state)
+            assert _naive_state_matches(pset, state, read_ids)
             assert tw_prod == tw_ref
 
 
@@ -152,3 +238,65 @@ def test_mtrace_is_order_preserving_subsequence():
     all_seqs = {ev.seq for ev in trace.events if ev.kind == "instr"}
     assert set(seqs) <= all_seqs
     assert len(seqs) < len(all_seqs)  # benign noise stays out
+
+
+def _oracle_taint_log(trace) -> list[str]:
+    """The taint log's lines from the reference taint rules, with the
+    per-byte reference classifier deciding where waves close: a closing
+    wave's tainted writes become the next shadow and start over empty."""
+    state = (frozenset(), frozenset())
+    tw: dict = {}
+    shadows: dict = {}  # pid -> shadow, for pids with malware execution
+    image_seen = False
+    lines = []
+
+    def close(pid):
+        shadows[pid] = dict(tw.get(pid, {}))
+        tw[pid] = {}
+
+    for ev in trace.events:
+        if ev.kind == "image":
+            state = naive_init(ev)
+            shadows[ev.pid] = dict(zip(range(ev.base, ev.base + len(ev.bytes)),
+                                       ev.bytes))
+            image_seen = True
+        elif ev.kind == "procexit":
+            if ev.pid in shadows:
+                close(ev.pid)
+        elif ev.kind == "instr":
+            tainted = naive_tainted(ev, state)
+            if tainted:
+                shadow = shadows.setdefault(ev.pid, {})
+                case = reference_classify_case(
+                    ev, SimpleNamespace(shadow=shadow,
+                                        twrites=tw.get(ev.pid, {})))
+                if case == 1:
+                    shadow.update(zip(range(ev.vaddr, ev.vaddr + len(ev.bytes)),
+                                      ev.bytes))
+                elif case in (2, 3):
+                    close(ev.pid)
+            state, tw = naive_update(ev, state, tw)
+            mem, regs = state
+            lines.append(f"{ev.seq}, tainted_instr:{'true' if tainted else 'false'}, "
+                         f"{len(mem)}, {len(tw.get(ev.pid, {}))}")
+            if image_seen and not mem and not regs:
+                break
+    return lines
+
+
+@pytest.mark.parametrize("name", [*SCENARIO_IDS, "micro4", "micro5"])
+def test_taint_log_counts_match_the_oracle(name, tmp_path, capsys):
+    # seq, inclusion, |tainted memory| and |T[pid]| of every logged line;
+    # these two micro-traces also clear tainted bytes, which no scenario
+    # does at seed 0
+    if name.startswith("micro"):
+        trace = random_micro_trace(int(name[5:]), 400)
+    else:
+        trace, _ = generate_scenario(name, 0)
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(write_trace(trace))
+    log = tmp_path / "taint.log"
+    assert main(["unpack", str(path), "-o", str(tmp_path / "out"),
+                 "--taint-log", str(log)]) == 0
+    capsys.readouterr()
+    assert log.read_text().splitlines() == _oracle_taint_log(trace)
