@@ -14,9 +14,9 @@ from pathlib import Path
 from .api_monitor import ApiCallRecord, attribute_calls
 from .pe_builder import PEArtifact, build_artifact
 from .regroup import WaveGrouping, group_wave
+from .taint_engine import ByteMap
 from .trace_model import SystemTrace
 from .wave_collector import (
-    ByteMap,
     CollectResult,
     InstrRef,
     Violation,

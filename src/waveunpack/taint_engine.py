@@ -5,34 +5,33 @@ shared mappings and cross-process writes; register taint is tracked per
 (pid, tid, register). An instruction joins the malware execution trace iff
 any byte of its encoding is tainted.
 
-Tainted memory is a TaintedMemory: one presence byte per id, kept per
-256-id chunk, so a tainted image costs about 1.5 bytes per id where a set
-of ints cost 64. The per-event paths (`update`, `is_tainted_instruction`)
-inline its chunk lookups, because a method call per event is a large share
-of the replay: id g lives at offset g & 0xFF of chunk g >> 8.
+Byte state is kept per 256-byte chunk, a layout only this module knows:
+a lives at offset a & 0xFF of chunk a >> 8. Tainted memory is a ChunkSet
+of presence bytes, about 1.5 bytes per tainted id; tainted writes and
+shadow memory are ByteMaps, a ChunkSet plus value bytes. The per-event
+paths (`update`, `is_tainted_instruction`) inline the chunk lookups,
+because a method call per event is a large share of the replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, MutableMapping
+from itertools import chain
 
 from .trace_model import TraceEvent
 
-# per-pid map of virtual address -> byte value for tainted own-space writes
-TaintedWritesMap = MutableMapping[int, Dict[int, int]]
-
-_CHUNK = 0x100
-_ONES = b"\x01" * _CHUNK
+# ids or addresses per chunk: a power of two that divides every page size
+CHUNK_SIZE = 0x100
+_ONES = b"\x01" * CHUNK_SIZE
 
 
-class TaintedMemory:
-    """A set of global location ids, as presence bytes per 256-id chunk.
+class ChunkSet:
+    """A set of ints, as presence bytes per 256-int chunk.
 
-    `chunks` maps g >> 8 to a bytearray of 256 bytes, 1 at g & 0xFF where
-    g is in the set; a chunk, once made, stays even when it is all 0.
-    `count` is the number of ids in the set. Ids may be any int, negative
-    or above 32 bits.
+    `chunks` maps a >> 8 to a bytearray of 256 bytes, 1 at a & 0xFF where
+    a is in the set; a chunk, once made, stays even when it is all 0.
+    `count` is the number of ints in the set. They may be any int,
+    negative or above 32 bits.
     """
 
     __slots__ = ("chunks", "count")
@@ -44,55 +43,154 @@ class TaintedMemory:
     def __len__(self) -> int:
         return self.count
 
-    def __contains__(self, g: int) -> bool:
-        c = self.chunks.get(g >> 8)
-        return c is not None and c[g & 0xFF] == 1
+    def __contains__(self, a: int) -> bool:
+        c = self.chunks.get(a >> 8)
+        return c is not None and c[a & 0xFF] == 1
 
-    def add(self, g: int) -> None:
-        c = self.chunks.get(g >> 8)
+    def add(self, a: int) -> None:
+        c = self.chunks.get(a >> 8)
         if c is None:
-            c = self.chunks[g >> 8] = bytearray(_CHUNK)
-        if not c[g & 0xFF]:
-            c[g & 0xFF] = 1
+            c = self.chunks[a >> 8] = bytearray(CHUNK_SIZE)
+        if not c[a & 0xFF]:
+            c[a & 0xFF] = 1
             self.count += 1
 
-    def discard(self, g: int) -> None:
-        c = self.chunks.get(g >> 8)
-        if c is not None and c[g & 0xFF]:
-            c[g & 0xFF] = 0
+    def discard(self, a: int) -> None:
+        c = self.chunks.get(a >> 8)
+        if c is not None and c[a & 0xFF]:
+            c[a & 0xFF] = 0
             self.count -= 1
 
     def add_span(self, start: int, stop: int) -> None:
-        """Add every id of range(start, stop), one slice store per chunk."""
+        """Add every int of range(start, stop), one slice store per chunk."""
         chunks = self.chunks
         while start < stop:
             k, off = start >> 8, start & 0xFF
-            end = min(_CHUNK, off + stop - start)
+            end = min(CHUNK_SIZE, off + stop - start)
             c = chunks.get(k)
             if c is None:
-                c = chunks[k] = bytearray(_CHUNK)
+                c = chunks[k] = bytearray(CHUNK_SIZE)
             self.count += end - off - c.count(1, off, end)
             c[off:end] = _ONES[off:end]
             start += end - off
 
     def isdisjoint(self, span: range) -> bool:
-        """True iff no id of `span`, a range of step 1, is in the set."""
+        """True iff no int of `span`, a range of step 1, is in the set.
+
+        Each chunk the span touches costs one lookup. A chunk that is there
+        is tested at the span's first int before one `find`, which decides
+        most spans classify_case tests.
+        """
         lo, hi = span.start, span.stop
         while lo < hi:
-            k, off = lo >> 8, lo & 0xFF
-            end = min(_CHUNK, off + hi - lo)
-            c = self.chunks.get(k)
-            if c is not None and c.find(1, off, end) >= 0:
+            c = self.chunks.get(lo >> 8)
+            off = lo & 0xFF
+            end = off + hi - lo
+            if end > CHUNK_SIZE:
+                end = CHUNK_SIZE
+            if c is not None and (c[off] or c.find(1, off, end) >= 0):
                 return False
             lo += end - off
         return True
+
+
+class ByteMap(ChunkSet):
+    """A map from address to byte: the ChunkSet of the mapped addresses,
+    plus one value bytearray per chunk in `vals`, under the same keys in
+    the same order. Only `[]=` and `store` write to it, not the inherited
+    `add`, `discard` and `add_span`. items() and runs() read in ascending
+    address order. A value outside 0-255 raises ValueError.
+    """
+
+    __slots__ = ("vals",)
+
+    def __init__(self):
+        super().__init__()
+        self.vals: dict[int, bytearray] = {}
+
+    def copy(self) -> ByteMap:
+        new = ByteMap()
+        new.chunks = {k: c.copy() for k, c in self.chunks.items()}
+        new.vals = {k: vals.copy() for k, vals in self.vals.items()}
+        new.count = self.count
+        return new
+
+    def get(self, vaddr: int, default=None):
+        k = vaddr >> 8
+        c = self.chunks.get(k)
+        if c is None or not c[vaddr & 0xFF]:
+            return default
+        return self.vals[k][vaddr & 0xFF]
+
+    def __setitem__(self, vaddr: int, byte: int):
+        k, off = vaddr >> 8, vaddr & 0xFF
+        c = self.chunks.get(k)
+        if c is None:
+            vals = bytearray(CHUNK_SIZE)
+            vals[off] = byte  # a bad value raises before the chunk exists
+            self.vals[k] = vals
+            c = self.chunks[k] = bytearray(CHUNK_SIZE)
+        else:
+            self.vals[k][off] = byte
+        if not c[off]:
+            c[off] = 1
+            self.count += 1
+
+    def items(self):
+        """(address, byte) pairs in ascending address order, a run at a time."""
+        return chain.from_iterable(zip(range(start, start + len(data)), data)
+                                   for start, data in self.runs())
+
+    def store(self, vaddr: int, data: bytes) -> None:
+        """Map vaddr + i to data[i] for every i."""
+        pos, n = 0, len(data)
+        while pos < n:
+            k, off = (vaddr + pos) >> 8, (vaddr + pos) & 0xFF
+            end = min(CHUNK_SIZE, off + n - pos)
+            c = self.chunks.get(k)
+            if c is None:
+                c = self.chunks[k] = bytearray(CHUNK_SIZE)
+                self.vals[k] = bytearray(CHUNK_SIZE)
+            self.count += end - off - c.count(1, off, end)
+            c[off:end] = _ONES[off:end]
+            self.vals[k][off:end] = data[pos:pos + end - off]
+            pos += end - off
+
+    def runs(self):
+        """Yield the maximal runs of mapped addresses as ascending
+        (start address, bytes) pairs."""
+        parts: list[bytearray] = []
+        start = run_end = 0
+        for k in sorted(self.chunks):
+            c, vals = self.chunks[k], self.vals[k]
+            base = k << 8
+            off = c.find(1)
+            while off >= 0:
+                end = c.find(0, off)
+                if end < 0:
+                    end = CHUNK_SIZE
+                if parts and base + off != run_end:
+                    yield start, b"".join(parts)
+                    parts = []
+                if not parts:
+                    start = base + off
+                parts.append(vals[off:end])
+                run_end = base + end
+                off = c.find(1, end)
+        if parts:
+            yield start, b"".join(parts)
+
+    def page_bases(self, page_size: int) -> set[int]:
+        """Bases of the pages holding a mapped address; `page_size` is a
+        multiple of 256."""
+        return {(k << 8) // page_size * page_size for k in self.chunks}
 
 
 @dataclass
 class PropagationSet:
     """Global taint state: tainted memory (by g) and tainted registers."""
 
-    tainted_mem: TaintedMemory = field(default_factory=TaintedMemory)
+    tainted_mem: ChunkSet = field(default_factory=ChunkSet)
     tainted_regs: set[tuple[int, int, str]] = field(default_factory=set)
 
     @property
@@ -121,13 +219,13 @@ def is_tainted_instruction(ev: TraceEvent, pset: PropagationSet) -> bool:
     if c is not None and c[off]:
         return True
     end = off + len(ev.bytes)
-    if end <= _CHUNK:
+    if end <= CHUNK_SIZE:
         return c is not None and c.find(1, off, end) >= 0
     return not pset.tainted_mem.isdisjoint(range(g, g + len(ev.bytes)))
 
 
-def update(ev: TraceEvent, pset: PropagationSet,
-           twrites: TaintedWritesMap) -> tuple[PropagationSet, TaintedWritesMap]:
+def update(ev: TraceEvent, pset: PropagationSet, twrites: dict[int, ByteMap]
+           ) -> tuple[PropagationSet, dict[int, ByteMap]]:
     """Advance taint state over one executed instruction (in place).
 
     Data flow: tainted inputs taint every output, untainted inputs clear
@@ -157,7 +255,7 @@ def update(ev: TraceEvent, pset: PropagationSet,
         c = chunks.get(g >> 8)
         off = g & 0xFF
         end = off + len(ev.bytes)
-        if end <= _CHUNK:
+        if end <= CHUNK_SIZE:
             hot = c is not None and c.find(1, off, end) >= 0
         else:
             hot = not mem.isdisjoint(range(g, g + len(ev.bytes)))
@@ -168,14 +266,16 @@ def update(ev: TraceEvent, pset: PropagationSet,
         for g, v, space_pid, val in ev.writes:
             c = chunks.get(g >> 8)
             if c is None:
-                c = chunks[g >> 8] = bytearray(_CHUNK)
+                c = chunks[g >> 8] = bytearray(CHUNK_SIZE)
             if not c[g & 0xFF]:
                 c[g & 0xFF] = 1
                 added += 1
             # every output is tainted now, so each own-space write is recorded
             if space_pid == pid:
                 if own is None:
-                    own = twrites.setdefault(pid, {})
+                    own = twrites.get(pid)
+                    if own is None:
+                        own = twrites[pid] = ByteMap()
                 own[v] = val
         mem.count += added
         for r in ev.wregs:
@@ -196,7 +296,7 @@ def update(ev: TraceEvent, pset: PropagationSet,
 
 
 def taint_log_line(ev: TraceEvent, tainted: bool, pset: PropagationSet,
-                   twrites: TaintedWritesMap) -> str:
+                   twrites: dict[int, ByteMap]) -> str:
     """One debug-log line per executed instruction."""
-    t = twrites.get(ev.pid, {})
+    t = twrites.get(ev.pid, ())
     return f"{ev.seq}, tainted_instr:{str(tainted).lower()}, {pset.tainted_mem.count}, {len(t)}"

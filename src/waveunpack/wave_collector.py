@@ -9,10 +9,10 @@ The same loop feeds the API monitor, which stamps each detected call with
 the wave its caller just joined: that wave's index moves only when the wave
 closes, so the stamp is final and attribution happens at detection.
 
-Shadow memory and the tainted-write snapshot of a closed wave are ByteMaps:
-byte stores kept per CHUNK_SIZE chunk of address space rather than per byte.
-Only the taint engine's live tainted writes are a dict. Wave-set violations
-of one wave's shadow memory are listed in ascending address order.
+Shadow memory and tainted writes are taint_engine ByteMaps. A closing
+wave takes the tainted-write map the taint engine wrote for its process,
+and the process goes on with a new one. Wave-set violations of one wave's
+shadow memory are listed in ascending address order.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 from .api_monitor import ApiCallRecord, ApiMonitor
 from .taint_engine import (
+    ByteMap,
     PropagationSet,
     init_taint,
     is_tainted_instruction,
@@ -30,127 +31,6 @@ from .taint_engine import (
     update,
 )
 from .trace_model import ObservedMemory, SystemTrace, TraceEvent
-
-# bytes per ByteMap chunk: a power of two that divides every page size
-CHUNK_SIZE = 0x100
-_CHUNK_SHIFT = CHUNK_SIZE.bit_length() - 1
-_CHUNK_MASK = CHUNK_SIZE - 1
-_PRESENT = b"\x01" * CHUNK_SIZE
-
-
-class ByteMap:
-    """A map from address to byte value, stored per CHUNK_SIZE-aligned chunk.
-
-    A chunk holding any address keeps one value bytearray and one presence
-    bytearray (1 where the address is mapped), so storing a byte string,
-    testing a span and reading runs back are slice operations. items() and
-    runs() read in ascending address order. A value outside 0-255 raises
-    ValueError.
-    """
-
-    __slots__ = ("_vals", "_have")
-
-    def __init__(self):
-        # chunk number -> values, and -> presence; no chunk is all absent
-        self._vals: dict[int, bytearray] = {}
-        self._have: dict[int, bytearray] = {}
-
-    def copy(self) -> ByteMap:
-        new = ByteMap()
-        new._vals = {k: vals.copy() for k, vals in self._vals.items()}
-        new._have = {k: have.copy() for k, have in self._have.items()}
-        return new
-
-    def __contains__(self, vaddr) -> bool:
-        have = self._have.get(vaddr >> _CHUNK_SHIFT)
-        return have is not None and have[vaddr & _CHUNK_MASK] == 1
-
-    def get(self, vaddr: int, default=None):
-        k = vaddr >> _CHUNK_SHIFT
-        have = self._have.get(k)
-        if have is None or not have[vaddr & _CHUNK_MASK]:
-            return default
-        return self._vals[k][vaddr & _CHUNK_MASK]
-
-    def __setitem__(self, vaddr: int, byte: int):
-        k, off = vaddr >> _CHUNK_SHIFT, vaddr & _CHUNK_MASK
-        have = self._have.get(k)
-        if have is None:
-            vals = bytearray(CHUNK_SIZE)
-            vals[off] = byte  # a bad value raises before the chunk exists
-            self._vals[k] = vals
-            have = self._have[k] = bytearray(CHUNK_SIZE)
-        else:
-            self._vals[k][off] = byte
-        have[off] = 1
-
-    def items(self):
-        """(address, byte) pairs in ascending address order, a run at a time."""
-        return chain.from_iterable(zip(range(start, start + len(data)), data)
-                                   for start, data in self.runs())
-
-    def store(self, vaddr: int, data: bytes) -> None:
-        """Map vaddr + i to data[i] for every i."""
-        pos, n = 0, len(data)
-        while pos < n:
-            k, off = (vaddr + pos) >> _CHUNK_SHIFT, (vaddr + pos) & _CHUNK_MASK
-            end = min(CHUNK_SIZE, off + n - pos)
-            have = self._have.get(k)
-            if have is None:
-                have = self._have[k] = bytearray(CHUNK_SIZE)
-                self._vals[k] = bytearray(CHUNK_SIZE)
-            have[off:end] = _PRESENT[off:end]
-            self._vals[k][off:end] = data[pos:pos + end - off]
-            pos += end - off
-
-    def isdisjoint(self, span: range) -> bool:
-        """True iff no address of `span`, a range of step 1, is mapped.
-
-        When the first address is mapped, as it is for most instructions
-        classify_case tests, this costs one chunk lookup and one index.
-        """
-        lo, hi = span.start, span.stop
-        have = self._have.get(lo >> _CHUNK_SHIFT)
-        if have is not None and lo < hi and have[lo & _CHUNK_MASK]:
-            return False
-        while lo < hi:
-            k, off = lo >> _CHUNK_SHIFT, lo & _CHUNK_MASK
-            end = min(CHUNK_SIZE, off + hi - lo)
-            have = self._have.get(k)
-            if have is not None and have.find(1, off, end) >= 0:
-                return False
-            lo += end - off
-        return True
-
-    def runs(self):
-        """Yield the maximal runs of mapped addresses as ascending
-        (start address, bytes) pairs."""
-        parts: list[bytearray] = []
-        start = run_end = 0
-        for k in sorted(self._have):
-            have, vals = self._have[k], self._vals[k]
-            base = k << _CHUNK_SHIFT
-            off = have.find(1)
-            while off >= 0:
-                end = have.find(0, off)
-                if end < 0:
-                    end = CHUNK_SIZE
-                if parts and base + off != run_end:
-                    yield start, b"".join(parts)
-                    parts = []
-                if not parts:
-                    start = base + off
-                parts.append(vals[off:end])
-                run_end = base + end
-                off = have.find(1, end)
-        if parts:
-            yield start, b"".join(parts)
-
-    def page_bases(self, page_size: int) -> set[int]:
-        """Bases of the pages holding a mapped address; `page_size` is a
-        multiple of CHUNK_SIZE."""
-        return {(k << _CHUNK_SHIFT) // page_size * page_size for k in self._have}
-
 
 class InstrRef(NamedTuple):
     """Reference to one executed instruction of the malware trace."""
@@ -170,7 +50,7 @@ class ProcessState:
 
     pid: int
     shadow: ByteMap = field(default_factory=ByteMap)
-    twrites: dict[int, int] = field(default_factory=dict)
+    twrites: ByteMap = field(default_factory=ByteMap)
     cur_instrs: list[InstrRef] = field(default_factory=list)
     wave_index: int = 0
 
@@ -231,14 +111,14 @@ def classify_case(ev: TraceEvent, state: ProcessState) -> int:
     shadow = state.shadow
     tw = state.twrites
     span = ev.vspan()
-    if tw.keys().isdisjoint(span):  # nothing freshly written: case 1 or 4
+    if tw.isdisjoint(span):  # nothing freshly written: case 1 or 4
         return 1 if shadow.isdisjoint(span) else 4
     in_shadow = [v in shadow for v in span]
     in_tw = [v in tw for v in span]
     if any(t and not s for s, t in zip(in_shadow, in_tw)):
         return 2
     if all(in_shadow) and any(
-            v in tw and tw[v] != shadow.get(v) for v in span):
+            v in tw and tw.get(v) != shadow.get(v) for v in span):
         return 3
     return 4
 
@@ -257,11 +137,9 @@ def dump_wave(state: ProcessState, trigger: InstrRef | None,
     (zero-instruction waves are suppressed). The new wave's shadow memory is
     the closed wave's tainted writes; the trigger instruction, if any,
     becomes the new wave's entry point. The record takes over the state's
-    shadow and instruction list; the state gets new ones.
+    shadow, tainted writes and instruction list; the state gets new ones.
     """
-    twrites = ByteMap()
-    for vaddr, byte in state.twrites.items():
-        twrites[vaddr] = byte
+    twrites = state.twrites
     record = None
     if state.cur_instrs:
         record = WaveRecord(
@@ -275,8 +153,7 @@ def dump_wave(state: ProcessState, trigger: InstrRef | None,
         )
         state.wave_index += 1
     state.shadow = twrites.copy()
-    # cleared in place: the taint engine holds a reference to this dict
-    state.twrites.clear()
+    state.twrites = ByteMap()
     state.cur_instrs = [trigger] if trigger is not None else []
     return record
 
@@ -296,7 +173,7 @@ def collect_waves(trace: SystemTrace, taint_log=None) -> CollectResult:
     monitor = ApiMonitor()
     pset = PropagationSet()
     states: dict[int, ProcessState] = {}
-    tmap: dict[int, dict[int, int]] = {}
+    tmap: dict[int, ByteMap] = {}
     records: list[WaveRecord] = []
     mtrace: list[InstrRef] = []
     image = None
@@ -304,12 +181,13 @@ def collect_waves(trace: SystemTrace, taint_log=None) -> CollectResult:
     def state_for(pid: int) -> ProcessState:
         st = states.get(pid)
         if st is None:
-            st = ProcessState(pid=pid, twrites=tmap.setdefault(pid, {}))
+            st = ProcessState(pid=pid, twrites=tmap.setdefault(pid, ByteMap()))
             states[pid] = st
         return st
 
     def close(st: ProcessState, trigger: InstrRef | None):
         rec = dump_wave(st, trigger, observed, page_size)
+        tmap[st.pid] = st.twrites  # update writes the next wave's here
         if rec is not None:
             records.append(rec)
 

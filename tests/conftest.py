@@ -3,16 +3,15 @@ from __future__ import annotations
 import random
 import sys
 from itertools import compress, count
-from operator import ne
+from operator import ne, or_
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from waveunpack.taint_engine import TaintedMemory
+from waveunpack.taint_engine import ByteMap, ChunkSet
 from waveunpack.trace_model import MemLoc, SystemTrace, TraceEvent
-from waveunpack.wave_collector import ByteMap
 
 PAGE = 4096
 
@@ -25,58 +24,88 @@ def bytemap(pairs: dict[int, int]) -> ByteMap:
     return bmap
 
 
-def tainted_memory(ids) -> TaintedMemory:
-    """A TaintedMemory holding `ids`, built with `add`."""
-    mem = TaintedMemory()
+def chunk_set(ids) -> ChunkSet:
+    """A ChunkSet holding `ids`, built with `add`."""
+    mem = ChunkSet()
     for g in ids:
         mem.add(g)
     return mem
 
 
 class TaintedIds:
-    """Reads the ids a TaintedMemory holds back as a set, at C speed.
+    """Reads a ChunkSet back as the set of ints it holds, or a ByteMap as
+    the dict of its address -> byte pairs, at C speed.
 
-    Only the chunks whose bytes differ from those of the last read are
-    read again, found by one `map(ne, ...)` over the chunks: a new chunk's
-    ids come from `compress`, a changed chunk's from the set bits of its
-    old and new bytes XORed as ints. So reading after every event of a
-    replay costs about one compare per chunk. The returned set is the
-    reader's own, valid until its next read.
+    Only the chunks whose presence or value bytes differ from those of the
+    last read are read again, found by `map(ne, ...)` over the chunks: a
+    new chunk's contents come from `compress`, a changed chunk's from the
+    set bits of its old and new bytes XORed as ints. So reading after every
+    event of a replay costs about one compare per chunk. A ChunkSet reads
+    as a set, not as the keys of a dict, because comparing a set with the
+    oracle's frozenset is the faster compare. One reader reads one map;
+    what it returns is its own, valid until its next read.
     """
 
     def __init__(self):
-        self._ids: set[int] = set()
+        self._out: set[int] | dict[int, int] | None = None
         self._keys: list[int] = []  # chunk numbers of the last read, in order
-        self._read: list[bytes] = []  # and their bytes as read
+        self._read: list[bytes] = []  # and their presence bytes as read
+        self._vals: list[bytes] = []  # and, for a ByteMap, their values
 
-    def __call__(self, mem: TaintedMemory) -> set[int]:
+    def __call__(self, mem: ChunkSet) -> set[int] | dict[int, int]:
+        pairs = isinstance(mem, ByteMap)
         chunks = mem.chunks
         keys = list(chunks)
-        if keys[:len(self._keys)] != self._keys:
+        if self._out is None or keys[:len(self._keys)] != self._keys:
             # a chunk went away or moved: read them all again
-            self._ids.clear()
-            self._read = []
-        ids = self._ids
+            self._out = {} if pairs else set()
+            self._read, self._vals = [], []
+        out = self._out
         read = self._read + [None] * (len(keys) - len(self._read))
-        for i in compress(count(), map(ne, chunks.values(), read)):
-            base, new = keys[i] << 8, bytes(chunks[keys[i]])
+        changed = map(ne, chunks.values(), read)
+        if pairs:  # vals has the keys of chunks, in the same order
+            vals = self._vals + [None] * (len(keys) - len(self._vals))
+            changed = map(or_, changed, map(ne, mem.vals.values(), vals))
+        for i in compress(count(), changed):
+            k = keys[i]
+            base, new = k << 8, bytes(chunks[k])
+            if pairs:
+                new_vals = bytes(mem.vals[k])
             if read[i] is None:
-                ids.update(compress(range(base, base + 0x100), new))
+                ids = compress(range(base, base + 0x100), new)
+                if pairs:
+                    out.update(zip(ids, compress(new_vals, new)))
+                else:
+                    out.update(ids)
             else:
                 # a set bit lies in each byte that changed
                 diff = (int.from_bytes(new, "little")
                         ^ int.from_bytes(read[i], "little"))
+                if pairs:
+                    diff |= (int.from_bytes(new_vals, "little")
+                             ^ int.from_bytes(vals[i], "little"))
                 while diff:
                     off = ((diff & -diff).bit_length() - 1) >> 3
-                    (ids.add if new[off] else ids.discard)(base + off)
-                    diff &= diff - 1
+                    if pairs and new[off]:
+                        out[base + off] = new_vals[off]
+                    elif pairs:
+                        out.pop(base + off, None)
+                    elif new[off]:
+                        out.add(base + off)
+                    else:
+                        out.discard(base + off)
+                    diff &= ~(0xFF << (off << 3))
             read[i] = new
+            if pairs:
+                vals[i] = new_vals
         self._keys, self._read = keys, read
-        return ids
+        if pairs:
+            self._vals = vals
+        return out
 
 
-def tainted_ids(mem: TaintedMemory) -> set[int]:
-    """The ids a TaintedMemory holds, read once."""
+def tainted_ids(mem: ChunkSet) -> set[int]:
+    """The ints a ChunkSet holds, read once."""
     return TaintedIds()(mem)
 
 

@@ -281,7 +281,7 @@ def reference_classify_case(ev, state) -> int:
     if any(t and not s for s, t in zip(in_shadow, in_tw)):
         return 2
     if all(in_shadow) and any(
-            v in tw and tw[v] != shadow.get(v) for v in span):
+            v in tw and tw.get(v) != shadow.get(v) for v in span):
         return 3
     return 4
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -22,10 +23,14 @@ from waveunpack.scenario_gen import (
     expected_ground_truth,
     generate_scenario,
 )
-from waveunpack.taint_engine import init_taint, is_tainted_instruction, update
+from waveunpack.taint_engine import (
+    ByteMap,
+    init_taint,
+    is_tainted_instruction,
+    update,
+)
 from waveunpack.trace_model import TraceEvent
 from waveunpack.wave_collector import (
-    ByteMap,
     InstrRef,
     WaveRecord,
     collect_waves,
@@ -131,12 +136,16 @@ def test_criterion_3_taint_oracle_equivalence():
         state = naive_init(image)
         tw_prod: dict = {}
         tw_ref: dict = {}
+        read_tw = defaultdict(TaintedIds)  # one reader per pid's map
         for ev in [ev for ev in trace.events if ev.kind == "instr"]:
             assert is_tainted_instruction(ev, pset) == naive_tainted(ev, state)
             update(ev, pset, tw_prod)
             state, tw_ref = naive_update(ev, state, tw_ref)
             assert naive_matches(pset, state), f"seed {seed} seq {ev.seq}"
-            assert tw_prod == tw_ref, f"seed {seed} seq {ev.seq}"
+            assert ({pid: read_tw[pid](m) for pid, m in tw_prod.items()}
+                    == tw_ref), f"seed {seed} seq {ev.seq}"
+            assert all(len(m) == len(tw_ref[pid])
+                       for pid, m in tw_prod.items()), f"seed {seed} seq {ev.seq}"
             events_checked += 1
     _verdict(3, f"engines agree on (P, T, inclusion) after every one of "
                 f"{events_checked} events across 50 micro-traces")

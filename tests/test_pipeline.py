@@ -35,7 +35,8 @@ from waveunpack.scenario_gen import (
     push_writer,
 )
 from waveunpack.trace_model import Branch, iter_trace, write_trace
-from waveunpack.wave_collector import CHUNK_SIZE, ByteMap, InstrRef
+from waveunpack.taint_engine import CHUNK_SIZE, ByteMap
+from waveunpack.wave_collector import InstrRef
 
 
 def _final_output(result):

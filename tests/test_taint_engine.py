@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import tracemalloc
+from collections import defaultdict
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TaintedIds, random_micro_trace, tainted_ids, tainted_memory
+from conftest import TaintedIds, chunk_set, random_micro_trace, tainted_ids
 from oracles import (
     naive_init,
     naive_tainted,
@@ -17,8 +18,8 @@ from oracles import (
 from waveunpack.cli import main
 from waveunpack.scenario_gen import SCENARIO_IDS, generate_scenario
 from waveunpack.taint_engine import (
+    ChunkSet,
     PropagationSet,
-    TaintedMemory,
     init_taint,
     is_tainted_instruction,
     update,
@@ -79,7 +80,7 @@ class TestUpdate:
 
     def test_benign_cross_process_write_taints_but_skips_twrites(self):
         # benign instruction moving a tainted byte into another process
-        pset = PropagationSet(tainted_mem=tainted_memory({0x100}))
+        pset = PropagationSet(tainted_mem=chunk_set({0x100}))
         tw = {}
         ev = _instr(pid=1, gaddr=0x9000,
                     reads=(MemLoc(g=0x100, v=0x500000, space_pid=1, val=7),),
@@ -97,7 +98,8 @@ class TestUpdate:
         update(_instr(seq=1, gaddr=0x1000, code=b"\x68\x90\x90\x90\x90",
                       writes=(w,)), pset, tw)
         assert 0x5000 in pset.tainted_mem
-        assert tw == {1: {0x600000: 0x90}}
+        assert tw.keys() == {1} and len(tw[1]) == 1
+        assert dict(tw[1].items()) == {0x600000: 0x90}
         # an untainted overwrite then clears taint (strong update)
         update(_instr(seq=2, gaddr=0x9000,
                       writes=(MemLoc(g=0x5000, v=0x600000, space_pid=1,
@@ -130,10 +132,10 @@ class TestInclusionPredicate:
     def test_any_byte_of_span_counts(self):
         # brute force across all single-tainted-byte positions
         for k in range(5):
-            pset = PropagationSet(tainted_mem=tainted_memory({0x2000 + k}))
+            pset = PropagationSet(tainted_mem=chunk_set({0x2000 + k}))
             ev = _instr(gaddr=0x2000, code=b"\x90" * 5)
             assert is_tainted_instruction(ev, pset)
-        pset = PropagationSet(tainted_mem=tainted_memory({0x2005}))
+        pset = PropagationSet(tainted_mem=chunk_set({0x2005}))
         assert not is_tainted_instruction(_instr(gaddr=0x2000,
                                                  code=b"\x90" * 5), pset)
 
@@ -154,12 +156,12 @@ class TestInclusionPredicate:
     def test_span_across_a_chunk_boundary(self, gaddr):
         # only the last byte, in the next 256-id chunk, is tainted
         ev = _instr(gaddr=gaddr, code=b"\x90" * 5)
-        pset = PropagationSet(tainted_mem=tainted_memory({gaddr + 4}))
+        pset = PropagationSet(tainted_mem=chunk_set({gaddr + 4}))
         assert is_tainted_instruction(ev, pset)
-        pset = PropagationSet(tainted_mem=tainted_memory({gaddr + 5}))
+        pset = PropagationSet(tainted_mem=chunk_set({gaddr + 5}))
         assert not is_tainted_instruction(ev, pset)
         # and the same span seen by update's own code-span test
-        pset = PropagationSet(tainted_mem=tainted_memory({gaddr + 4}))
+        pset = PropagationSet(tainted_mem=chunk_set({gaddr + 4}))
         update(_instr(gaddr=gaddr, code=b"\x90" * 5, wregs=("eax",)),
                pset, {})
         assert pset.tainted_regs == {(1, 1, "eax")}
@@ -176,14 +178,14 @@ _ops = st.lists(st.one_of(
     st.tuples(st.just("len"), st.none())), max_size=60)
 
 
-class TestTaintedMemory:
+class TestChunkSet:
     @settings(max_examples=100, deadline=None)
     @given(_ops)
     @example([("add", 5), ("add", 300), ("add_span", (0, 600)), ("len", None),
               ("discard", 5), ("add_span", (0, 0)), ("add_span", (4, 2)),
               ("isdisjoint", (5, 0)), ("isdisjoint", (5, 1)), ("len", None)])
     def test_matches_a_set(self, ops):
-        mem, model, read = TaintedMemory(), set(), TaintedIds()
+        mem, model, read = ChunkSet(), set(), TaintedIds()
         for op, arg in ops:
             if op == "add":
                 mem.add(arg)
@@ -215,6 +217,7 @@ def _naive_state_matches(pset, state, read_ids):
 def test_oracle_equivalence_on_micro_traces(micro_trace):
     read_ids = TaintedIds()
     for seed in range(6):
+        read_tw = defaultdict(TaintedIds)  # one reader per pid's map
         trace = micro_trace(seed, 400)
         image = collect_waves(trace).image
         pset = init_taint(image)
@@ -227,7 +230,8 @@ def test_oracle_equivalence_on_micro_traces(micro_trace):
             update(ev, pset, tw_prod)
             state, tw_ref = naive_update(ev, state, tw_ref)
             assert _naive_state_matches(pset, state, read_ids)
-            assert tw_prod == tw_ref
+            assert {pid: read_tw[pid](m) for pid, m in tw_prod.items()} == tw_ref
+            assert all(len(m) == len(tw_ref[pid]) for pid, m in tw_prod.items())
 
 
 def test_mtrace_is_order_preserving_subsequence():

@@ -5,10 +5,10 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bytemap
+from conftest import TaintedIds, bytemap
 from oracles import reference_classify_case, reference_verify_wave_semantics
 from waveunpack.scenario_gen import (
     MALWARE_PID,
@@ -19,6 +19,7 @@ from waveunpack.scenario_gen import (
     TraceBuilder,
     generate_scenario,
 )
+from waveunpack.taint_engine import CHUNK_SIZE, ByteMap
 from waveunpack.trace_model import (
     Branch,
     MemLoc,
@@ -27,8 +28,6 @@ from waveunpack.trace_model import (
     TraceEvent,
 )
 from waveunpack.wave_collector import (
-    CHUNK_SIZE,
-    ByteMap,
     InstrRef,
     ProcessState,
     WaveRecord,
@@ -54,12 +53,12 @@ class TestClassifyCase:
         assert classify_case(_instr(vaddr=0x600000), state) == 1
 
     def test_fresh_tainted_write_is_case2(self):
-        state = ProcessState(pid=1, twrites={0x600000: 0x90})
+        state = ProcessState(pid=1, twrites=bytemap({0x600000: 0x90}))
         assert classify_case(_instr(vaddr=0x600000), state) == 2
 
     def test_overwritten_code_is_case3(self):
         state = ProcessState(pid=1, shadow=bytemap({0x600000: 0xCC}),
-                             twrites={0x600000: 0x90})
+                             twrites=bytemap({0x600000: 0x90}))
         assert classify_case(_instr(vaddr=0x600000, code=b"\x90"), state) == 3
 
     def test_consistent_shadow_is_case4(self):
@@ -68,7 +67,7 @@ class TestClassifyCase:
 
     def test_rewritten_with_same_bytes_is_case4(self):
         state = ProcessState(pid=1, shadow=bytemap({0x600000: 0x90}),
-                             twrites={0x600000: 0x90})
+                             twrites=bytemap({0x600000: 0x90}))
         assert classify_case(_instr(vaddr=0x600000), state) == 4
 
     def test_span_straddling_fresh_write_is_case2(self):
@@ -76,7 +75,7 @@ class TestClassifyCase:
         state = ProcessState(pid=1,
                              shadow=bytemap({0x600000: 0xB8, 0x600001: 1,
                                              0x600002: 2, 0x600003: 3}),
-                             twrites={0x600004: 4})
+                             twrites=bytemap({0x600004: 4}))
         ev = _instr(vaddr=0x600000, code=b"\xb8\x01\x02\x03\x04")
         assert classify_case(ev, state) == 2
 
@@ -93,7 +92,7 @@ class TestDumpWave:
 
     def test_rotation_and_trigger(self):
         state = ProcessState(pid=1, shadow=bytemap({0x400000: 0xCC}),
-                             twrites={0x600000: 0x90},
+                             twrites=bytemap({0x600000: 0x90}),
                              cur_instrs=[InstrRef(1, 1, 0x400000, b"\xcc")])
         observed = ObservedMemory()
         trigger = InstrRef(2, 1, 0x600000, b"\x90")
@@ -102,20 +101,21 @@ class TestDumpWave:
         assert dict(rec.twrite_pairs.items()) == {0x600000: 0x90}
         assert 0x400000 in rec.page_dumps and 0x600000 in rec.page_dumps
         assert dict(state.shadow.items()) == {0x600000: 0x90}
-        assert state.twrites == {}
+        assert len(state.twrites) == 0 and not list(state.twrites.items())
         assert state.cur_instrs == [trigger]
         assert state.wave_index == 1
 
     def test_flush_with_empty_wave_emits_nothing(self):
-        state = ProcessState(pid=1, twrites={0x600000: 1})
+        state = ProcessState(pid=1, twrites=bytemap({0x600000: 1}))
         assert dump_wave(state, None, ObservedMemory(), 4096) is None
         assert state.wave_index == 0
         assert dict(state.shadow.items()) == {0x600000: 1}
 
     def test_record_unaffected_by_later_state_changes(self):
-        # the record takes over the state's shadow and instruction list
+        # the record takes over the state's shadow, tainted writes and
+        # instruction list
         state = ProcessState(pid=1, shadow=bytemap({0x400000: 0xCC}),
-                             twrites={0x600000: 0x90},
+                             twrites=bytemap({0x600000: 0x90}),
                              cur_instrs=[InstrRef(1, 1, 0x400000, b"\xcc")])
         rec = dump_wave(state, InstrRef(2, 1, 0x600000, b"\x90"),
                         ObservedMemory(), 4096)
@@ -129,13 +129,17 @@ class TestDumpWave:
         assert rec.instrs == [InstrRef(1, 1, 0x400000, b"\xcc")]
         assert rec.entry_vaddr == 0x400000
 
-    def test_twrites_cleared_in_place(self):
-        # the taint engine aliases the twrites dict; rotation must keep it
-        tw = {0x600000: 1}
+    def test_record_takes_the_twrites_map(self):
+        # the closed wave keeps the state's map itself; the state gets a
+        # new, empty one
+        tw = bytemap({0x600000: 1})
         state = ProcessState(pid=1, twrites=tw,
                              cur_instrs=[InstrRef(1, 1, 0x600000, b"\x90")])
-        dump_wave(state, None, ObservedMemory(), 4096)
-        assert state.twrites is tw and tw == {}
+        rec = dump_wave(state, None, ObservedMemory(), 4096)
+        assert rec.twrite_pairs is tw
+        assert dict(tw.items()) == {0x600000: 1}
+        assert state.twrites is not tw
+        assert len(state.twrites) == 0 and not list(state.twrites.items())
 
 
 class TestCollectWaves:
@@ -176,6 +180,23 @@ class TestCollectWaves:
         result = collect_waves(trace)
         assert result.mtrace == []
         assert result.records == []
+
+    def test_closed_wave_twrites_unchanged_by_the_next_wave(self):
+        # wave 0 writes 0x600000 and runs it; wave 1's write must land in
+        # the new map the taint engine is given, not in wave 0's record
+        image = TraceEvent(kind="image", pid=1, base=0x400000, gbase=0x1000,
+                           name="t.exe", bytes=b"\x90" * 16)
+        write = _instr(seq=1, writes=(MemLoc(g=0x5000, v=0x600000,
+                                             space_pid=1, val=0x90),))
+        run = _instr(seq=2, vaddr=0x600000, gaddr=0x5000,
+                     writes=(MemLoc(g=0x5010, v=0x600010, space_pid=1,
+                                    val=0xC3),))
+        result = collect_waves(SystemTrace(events=[image, write, run]))
+        first, second = result.records
+        assert dict(first.twrite_pairs.items()) == {0x600000: 0x90}
+        assert len(first.twrite_pairs) == 1
+        assert dict(second.twrite_pairs.items()) == {0x600010: 0xC3}
+        assert dict(second.shadow_pairs.items()) == {0x600000: 0x90}
 
     def test_partition_property(self):
         trace, _ = generate_scenario("m1", 6)
@@ -296,8 +317,13 @@ def _model_runs(model: dict[int, int]) -> list[tuple[int, bytes]]:
 class TestByteMap:
     @settings(max_examples=300, deadline=None)
     @given(ops=st.lists(_MAP_OPS, max_size=25))
+    @example(ops=[("set", 0x10, 1), ("store", 0xF0, b"\x02" * 0x20),
+                  ("store", 0, b"\x03" * 0x18), ("set", 0x10, 4),
+                  ("set", 0x100, 5), ("query", 0, 0x120)])
     def test_matches_dict_model(self, ops):
-        bmap, model = ByteMap(), {}
+        # a store over a partly mapped chunk and a write over a mapped byte
+        # must count only the addresses they newly map
+        bmap, model, read = ByteMap(), {}, TaintedIds()
         for op, vaddr, *arg in ops:
             if op == "store":
                 bmap.store(vaddr, arg[0])
@@ -311,12 +337,15 @@ class TestByteMap:
                 assert (vaddr in bmap) == (vaddr in model)
                 assert bmap.get(vaddr) == model.get(vaddr)
                 assert bmap.get(vaddr, -1) == model.get(vaddr, -1)
+            assert len(bmap) == len(model)
+            assert read(bmap) == model
         assert list(bmap.items()) == sorted(model.items())
         assert list(bmap.runs()) == _model_runs(model)
         for page_size in (0x1000, 0x4000):
             assert bmap.page_bases(page_size) == \
                 {v - v % page_size for v in model}
         copy = bmap.copy()
+        assert len(copy) == len(bmap)
         assert list(copy.items()) == list(bmap.items())
         assert list(copy.runs()) == list(bmap.runs())
 
@@ -426,7 +455,8 @@ class TestReferenceEquivalence:
     @given(classify_inputs())
     def test_classify_case_matches_reference(self, inputs):
         shadow, twrites, vaddr, code = inputs
-        state = ProcessState(pid=1, shadow=bytemap(shadow), twrites=twrites)
+        state = ProcessState(pid=1, shadow=bytemap(shadow),
+                             twrites=bytemap(twrites))
         ev = _instr(vaddr=vaddr, code=code)
         assert classify_case(ev, state) == reference_classify_case(ev, state)
 
