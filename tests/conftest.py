@@ -51,11 +51,19 @@ class TaintedIds:
         self._keys: list[int] = []  # chunk numbers of the last read, in order
         self._read: list[bytes] = []  # and their presence bytes as read
         self._vals: list[bytes] = []  # and, for a ByteMap, their values
+        self._all: tuple[bytes, bytes] | None = None  # a ByteMap's, joined
 
     def __call__(self, mem: ChunkSet) -> set[int] | dict[int, int]:
         pairs = isinstance(mem, ByteMap)
         chunks = mem.chunks
         keys = list(chunks)
+        if pairs:
+            # most reads of tainted writes find them unchanged: one join
+            # and one compare answer those
+            joined = b"".join(chunks.values()), b"".join(mem.vals.values())
+            if joined == self._all and keys == self._keys:
+                return self._out
+            self._all = joined
         if self._out is None or keys[:len(self._keys)] != self._keys:
             # a chunk went away or moved: read them all again
             self._out = {} if pairs else set()
