@@ -73,16 +73,19 @@ def _streamed(path: str, command) -> int:
 def _same_file(a: str, b: str) -> bool:
     try:
         return os.path.samefile(a, b)
-    except OSError:  # one of them does not exist
-        return False
+    except OSError:  # one of them does not exist yet: compare the names
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def cmd_unpack(args) -> int:
-    if args.taint_log and _same_file(args.taint_log, args.trace):
-        # the log would replace the trace it is made from
-        print(f"error: --taint-log: {args.taint_log} is the trace being read",
-              file=sys.stderr)
-        return 1
+    # each would replace the trace it is made from, or the other's file
+    for option, path, other, what in (
+            ("--taint-log", args.taint_log, args.trace, "the trace being read"),
+            ("--report", args.report, args.trace, "the trace being read"),
+            ("--report", args.report, args.taint_log, "the --taint-log path too")):
+        if path and other and _same_file(path, other):
+            print(f"error: {option}: {path} is {what}", file=sys.stderr)
+            return 1
     report_json = Path(args.out, "report.json").resolve()
     for option, path in (("--taint-log", args.taint_log),
                          ("--report", args.report)):
@@ -155,6 +158,10 @@ def cmd_gen(args) -> int:
         return 1
     trace_path = Path(args.out or f"{args.scenario}.jsonl")
     truth_path = Path(args.truth or f"{args.scenario}.truth.json")
+    if _same_file(truth_path, trace_path):
+        print(f"error: --truth: {truth_path} is the trace path (-o) too",
+              file=sys.stderr)
+        return 1
     truth_doc = json.dumps(truth.to_json(), indent=1, sort_keys=True) + "\n"
     written = []  # files opened for writing, removed if a write fails
     try:

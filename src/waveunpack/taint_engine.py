@@ -6,11 +6,12 @@ shared mappings and cross-process writes; register taint is tracked per
 any byte of its encoding is tainted.
 
 Byte state is kept per 256-byte chunk, a layout only this module knows:
-a lives at offset a & 0xFF of chunk a >> 8. Tainted memory is a ChunkSet
-of presence bytes, about 1.5 bytes per tainted id; tainted writes and
-shadow memory are ByteMaps, a ChunkSet plus value bytes. The per-event
-paths (`update`, `is_tainted_instruction`) inline the chunk lookups,
-because a method call per event is a large share of the replay.
+a lives at offset a & 0xFF of chunk a >> 8. `Chunks` holds the layout,
+its reads and the one span-marking loop. Tainted memory is a ChunkSet of
+presence bytes, about 1.5 bytes per tainted id; tainted writes and shadow
+memory are ByteMaps, presence plus value bytes. `update` writes into the
+ByteMap its caller hands it. The per-event paths inline the chunk
+lookups, because a method call per event is a large share of the replay.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ CHUNK_SIZE = 0x100
 _ONES = b"\x01" * CHUNK_SIZE
 
 
-class ChunkSet:
-    """A set of ints, as presence bytes per 256-int chunk.
+class Chunks:
+    """The chunk layout and its reads, shared by ChunkSet and ByteMap.
 
     `chunks` maps a >> 8 to a bytearray of 256 bytes, 1 at a & 0xFF where
-    a is in the set; a chunk, once made, stays even when it is all 0.
-    `count` is the number of ints in the set. They may be any int,
-    negative or above 32 bits.
+    a is held; a chunk, once made, stays even when it is all 0. `count` is
+    the number of ints held. They may be any int, negative or above 32
+    bits. Only the subclasses write, each keeping its own invariant.
     """
 
     __slots__ = ("chunks", "count")
@@ -47,22 +48,9 @@ class ChunkSet:
         c = self.chunks.get(a >> 8)
         return c is not None and c[a & 0xFF] == 1
 
-    def add(self, a: int) -> None:
-        c = self.chunks.get(a >> 8)
-        if c is None:
-            c = self.chunks[a >> 8] = bytearray(CHUNK_SIZE)
-        if not c[a & 0xFF]:
-            c[a & 0xFF] = 1
-            self.count += 1
-
-    def discard(self, a: int) -> None:
-        c = self.chunks.get(a >> 8)
-        if c is not None and c[a & 0xFF]:
-            c[a & 0xFF] = 0
-            self.count -= 1
-
-    def add_span(self, start: int, stop: int) -> None:
-        """Add every int of range(start, stop), one slice store per chunk."""
+    def _mark(self, start: int, stop: int):
+        """Mark every int of range(start, stop) present, one slice store
+        per chunk, and yield each chunk's (number, offset, end offset)."""
         chunks = self.chunks
         while start < stop:
             k, off = start >> 8, start & 0xFF
@@ -72,10 +60,11 @@ class ChunkSet:
                 c = chunks[k] = bytearray(CHUNK_SIZE)
             self.count += end - off - c.count(1, off, end)
             c[off:end] = _ONES[off:end]
+            yield k, off, end
             start += end - off
 
     def isdisjoint(self, span: range) -> bool:
-        """True iff no int of `span`, a range of step 1, is in the set.
+        """True iff no int of `span`, a range of step 1, is held.
 
         Each chunk the span touches costs one lookup. A chunk that is there
         is tested at the span's first int before one `find`, which decides
@@ -93,13 +82,29 @@ class ChunkSet:
             lo += end - off
         return True
 
+    def page_bases(self, page_size: int) -> set[int]:
+        """Bases of the pages holding a held int; `page_size` is a
+        multiple of 256."""
+        return {(k << 8) // page_size * page_size for k in self.chunks}
 
-class ByteMap(ChunkSet):
-    """A map from address to byte: the ChunkSet of the mapped addresses,
+
+class ChunkSet(Chunks):
+    """A set of ints; `update` sets and clears its ids inline."""
+
+    __slots__ = ()
+
+    def add_span(self, start: int, stop: int) -> None:
+        """Add every int of range(start, stop)."""
+        for _ in self._mark(start, stop):
+            pass
+
+
+class ByteMap(Chunks):
+    """A map from address to byte: the chunks of the mapped addresses,
     plus one value bytearray per chunk in `vals`, under the same keys in
-    the same order. Only `[]=` and `store` write to it, not the inherited
-    `add`, `discard` and `add_span`. items() and runs() read in ascending
-    address order. A value outside 0-255 raises ValueError.
+    the same order. Only `[]=` and `store` write to it, and each sets a
+    value with its presence. items() and runs() read in ascending address
+    order. A value outside 0-255 raises ValueError.
     """
 
     __slots__ = ("vals",)
@@ -143,18 +148,13 @@ class ByteMap(ChunkSet):
 
     def store(self, vaddr: int, data: bytes) -> None:
         """Map vaddr + i to data[i] for every i."""
-        pos, n = 0, len(data)
-        while pos < n:
-            k, off = (vaddr + pos) >> 8, (vaddr + pos) & 0xFF
-            end = min(CHUNK_SIZE, off + n - pos)
-            c = self.chunks.get(k)
-            if c is None:
-                c = self.chunks[k] = bytearray(CHUNK_SIZE)
-                self.vals[k] = bytearray(CHUNK_SIZE)
-            self.count += end - off - c.count(1, off, end)
-            c[off:end] = _ONES[off:end]
-            self.vals[k][off:end] = data[pos:pos + end - off]
-            pos += end - off
+        vals = self.vals
+        for k, off, end in self._mark(vaddr, vaddr + len(data)):
+            v = vals.get(k)
+            if v is None:  # a chunk _mark just made: same keys, same order
+                v = vals[k] = bytearray(CHUNK_SIZE)
+            pos = (k << 8) + off - vaddr
+            v[off:end] = data[pos:pos + end - off]
 
     def runs(self):
         """Yield the maximal runs of mapped addresses as ascending
@@ -179,11 +179,6 @@ class ByteMap(ChunkSet):
                 off = c.find(1, end)
         if parts:
             yield start, b"".join(parts)
-
-    def page_bases(self, page_size: int) -> set[int]:
-        """Bases of the pages holding a mapped address; `page_size` is a
-        multiple of 256."""
-        return {(k << 8) // page_size * page_size for k in self.chunks}
 
 
 @dataclass
@@ -224,44 +219,36 @@ def is_tainted_instruction(ev: TraceEvent, pset: PropagationSet) -> bool:
     return not pset.tainted_mem.isdisjoint(range(g, g + len(ev.bytes)))
 
 
-def update(ev: TraceEvent, pset: PropagationSet, twrites: dict[int, ByteMap]
-           ) -> tuple[PropagationSet, dict[int, ByteMap]]:
+def update(ev: TraceEvent, pset: PropagationSet, twrites: ByteMap,
+           tainted: bool) -> tuple[PropagationSet, ByteMap]:
     """Advance taint state over one executed instruction (in place).
 
     Data flow: tainted inputs taint every output, untainted inputs clear
     every output (strong update). Executing tainted bytes taints every
-    output regardless of the inputs. Tainted writes landing in the writer's
-    own address space are recorded per pid.
+    output regardless of the inputs; `tainted` is the caller's
+    is_tainted_instruction(ev, pset). Tainted writes landing in the
+    writer's own address space go into `twrites`, the writer's map.
     """
     mem = pset.tainted_mem
     chunks = mem.chunks
     regs = pset.tainted_regs
     pid, tid = ev.pid, ev.tid
 
-    hot = False
-    for m in ev.reads:
-        g = m.g
-        c = chunks.get(g >> 8)
-        if c is not None and c[g & 0xFF]:
-            hot = True
-            break
+    hot = tainted
+    if not hot:
+        for m in ev.reads:
+            g = m.g
+            c = chunks.get(g >> 8)
+            if c is not None and c[g & 0xFF]:
+                hot = True
+                break
     if not hot and regs:
         for r in ev.rregs:
             if (pid, tid, r) in regs:
                 hot = True
                 break
-    if not hot:  # is_tainted_instruction, inlined
-        g = ev.gaddr
-        c = chunks.get(g >> 8)
-        off = g & 0xFF
-        end = off + len(ev.bytes)
-        if end <= CHUNK_SIZE:
-            hot = c is not None and c.find(1, off, end) >= 0
-        else:
-            hot = not mem.isdisjoint(range(g, g + len(ev.bytes)))
 
     if hot:
-        own = None
         added = 0
         for g, v, space_pid, val in ev.writes:
             c = chunks.get(g >> 8)
@@ -272,11 +259,7 @@ def update(ev: TraceEvent, pset: PropagationSet, twrites: dict[int, ByteMap]
                 added += 1
             # every output is tainted now, so each own-space write is recorded
             if space_pid == pid:
-                if own is None:
-                    own = twrites.get(pid)
-                    if own is None:
-                        own = twrites[pid] = ByteMap()
-                own[v] = val
+                twrites[v] = val
         mem.count += added
         for r in ev.wregs:
             regs.add((pid, tid, r))
@@ -296,7 +279,6 @@ def update(ev: TraceEvent, pset: PropagationSet, twrites: dict[int, ByteMap]
 
 
 def taint_log_line(ev: TraceEvent, tainted: bool, pset: PropagationSet,
-                   twrites: dict[int, ByteMap]) -> str:
-    """One debug-log line per executed instruction."""
-    t = twrites.get(ev.pid, ())
-    return f"{ev.seq}, tainted_instr:{str(tainted).lower()}, {pset.tainted_mem.count}, {len(t)}"
+                   twrites: ByteMap) -> str:
+    """One debug-log line per instruction, with its process's map."""
+    return f"{ev.seq}, tainted_instr:{str(tainted).lower()}, {pset.tainted_mem.count}, {len(twrites)}"

@@ -9,10 +9,10 @@ The same loop feeds the API monitor, which stamps each detected call with
 the wave its caller just joined: that wave's index moves only when the wave
 closes, so the stamp is final and attribution happens at detection.
 
-Shadow memory and tainted writes are taint_engine ByteMaps. A closing
-wave takes the tainted-write map the taint engine wrote for its process,
-and the process goes on with a new one. Wave-set violations of one wave's
-shadow memory are listed in ascending address order.
+Shadow memory and tainted writes are ByteMaps that each ProcessState
+owns; `update` writes into the one it is handed. A closing wave takes
+that map, and the process goes on with a new one. Wave-set violations of
+one wave's shadow memory are listed in ascending address order.
 """
 
 from __future__ import annotations
@@ -173,21 +173,15 @@ def collect_waves(trace: SystemTrace, taint_log=None) -> CollectResult:
     monitor = ApiMonitor()
     pset = PropagationSet()
     states: dict[int, ProcessState] = {}
-    tmap: dict[int, ByteMap] = {}
     records: list[WaveRecord] = []
     mtrace: list[InstrRef] = []
     image = None
 
     def state_for(pid: int) -> ProcessState:
-        st = states.get(pid)
-        if st is None:
-            st = ProcessState(pid=pid, twrites=tmap.setdefault(pid, ByteMap()))
-            states[pid] = st
-        return st
+        return states.setdefault(pid, ProcessState(pid=pid))
 
     def close(st: ProcessState, trigger: InstrRef | None):
         rec = dump_wave(st, trigger, observed, page_size)
-        tmap[st.pid] = st.twrites  # update writes the next wave's here
         if rec is not None:
             records.append(rec)
 
@@ -197,9 +191,7 @@ def collect_waves(trace: SystemTrace, taint_log=None) -> CollectResult:
         if kind == "image":
             observed.record_event(ev)
             pset = init_taint(ev)
-            st = state_for(ev.pid)
-            st.shadow = ByteMap()
-            st.shadow.store(ev.base, ev.bytes)
+            state_for(ev.pid).shadow.store(ev.base, ev.bytes)
             image = ev
             continue
         if kind == "module":
@@ -216,8 +208,8 @@ def collect_waves(trace: SystemTrace, taint_log=None) -> CollectResult:
         if monitor.pending:
             monitor.on_return_site(ev)
         tainted = is_tainted_instruction(ev, pset)
+        st = states.get(ev.pid) or state_for(ev.pid)
         if tainted:
-            st = state_for(ev.pid)
             ref = InstrRef(ev.seq, ev.pid, ev.vaddr, ev.bytes)
             mtrace.append(ref)
             case = classify_case(ev, st)
@@ -230,10 +222,11 @@ def collect_waves(trace: SystemTrace, taint_log=None) -> CollectResult:
                 st.cur_instrs.append(ref)
             if ev.branch is not None:  # only a branch can call an API
                 monitor.on_malware_instr(ev, (ev.pid, st.wave_index))
-        update(ev, pset, tmap)
+        update(ev, pset, st.twrites, tainted)
         observed.record_event(ev)
         if taint_log is not None:
-            taint_log.write(taint_log_line(ev, tainted, pset, tmap) + "\n")
+            taint_log.write(taint_log_line(ev, tainted, pset, st.twrites)
+                            + "\n")
         if image is not None and pset.empty:
             break
     for _ in events:  # nothing is tainted any more: only read the rest

@@ -10,7 +10,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from waveunpack.taint_engine import ByteMap, ChunkSet
+from waveunpack.taint_engine import (
+    ByteMap,
+    ChunkSet,
+    PropagationSet,
+    is_tainted_instruction,
+    update,
+)
 from waveunpack.trace_model import MemLoc, SystemTrace, TraceEvent
 
 PAGE = 4096
@@ -25,11 +31,25 @@ def bytemap(pairs: dict[int, int]) -> ByteMap:
 
 
 def chunk_set(ids) -> ChunkSet:
-    """A ChunkSet holding `ids`, built with `add`."""
+    """A ChunkSet holding `ids`, built with `add_span`."""
     mem = ChunkSet()
     for g in ids:
-        mem.add(g)
+        mem.add_span(g, g + 1)
     return mem
+
+
+def taint_step(ev: TraceEvent, pset: PropagationSet,
+               twrites: dict[int, ByteMap]) -> bool:
+    """Replay one instruction as collect_waves does: ask the inclusion
+    test, then update with that verdict, writing into the executing pid's
+    map in `twrites` (made on the pid's first instruction). Returns the
+    verdict."""
+    tainted = is_tainted_instruction(ev, pset)
+    tw = twrites.get(ev.pid)
+    if tw is None:
+        tw = twrites[ev.pid] = ByteMap()
+    update(ev, pset, tw, tainted)
+    return tainted
 
 
 class TaintedIds:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import TaintedIds, bytemap, random_micro_trace
+from conftest import TaintedIds, bytemap, random_micro_trace, taint_step
 from oracles import decode, naive_init, naive_tainted, naive_update, read_pe
 from waveunpack.pe_builder import build_artifact
 from waveunpack.pipeline import analyze, write_outputs
@@ -23,12 +23,7 @@ from waveunpack.scenario_gen import (
     expected_ground_truth,
     generate_scenario,
 )
-from waveunpack.taint_engine import (
-    ByteMap,
-    init_taint,
-    is_tainted_instruction,
-    update,
-)
+from waveunpack.taint_engine import ByteMap, init_taint
 from waveunpack.trace_model import TraceEvent
 from waveunpack.wave_collector import (
     InstrRef,
@@ -138,14 +133,17 @@ def test_criterion_3_taint_oracle_equivalence():
         tw_ref: dict = {}
         read_tw = defaultdict(TaintedIds)  # one reader per pid's map
         for ev in [ev for ev in trace.events if ev.kind == "instr"]:
-            assert is_tainted_instruction(ev, pset) == naive_tainted(ev, state)
-            update(ev, pset, tw_prod)
+            assert (taint_step(ev, pset, tw_prod)
+                    == naive_tainted(ev, state)), f"seed {seed} seq {ev.seq}"
             state, tw_ref = naive_update(ev, state, tw_ref)
             assert naive_matches(pset, state), f"seed {seed} seq {ev.seq}"
-            assert ({pid: read_tw[pid](m) for pid, m in tw_prod.items()}
+            # a pid gets its map when it first executes; the oracle's
+            # when it first records a write
+            written = {pid: m for pid, m in tw_prod.items() if len(m)}
+            assert ({pid: read_tw[pid](m) for pid, m in written.items()}
                     == tw_ref), f"seed {seed} seq {ev.seq}"
             assert all(len(m) == len(tw_ref[pid])
-                       for pid, m in tw_prod.items()), f"seed {seed} seq {ev.seq}"
+                       for pid, m in written.items()), f"seed {seed} seq {ev.seq}"
             events_checked += 1
     _verdict(3, f"engines agree on (P, T, inclusion) after every one of "
                 f"{events_checked} events across 50 micro-traces")
@@ -158,11 +156,11 @@ def test_criterion_4_benign_writer_wave_captured():
         tw: dict = {}
         writers = []
         for ev in [ev for ev in trace.events if ev.kind == "instr"]:
+            tainted = taint_step(ev, pset, tw)
             if ev.pid == TARGET_PID and any(w.space_pid == TARGET_PID
                                             for w in ev.writes):
-                assert not is_tainted_instruction(ev, pset)
+                assert not tainted
                 writers.append(ev.seq)
-            update(ev, pset, tw)
         assert writers, "c4 must write the payload through benign code"
         result = analyze(trace)
         waves = [r for r in result.collect.records if r.pid == TARGET_PID]

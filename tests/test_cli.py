@@ -61,6 +61,13 @@ class TestGen:
         assert "error: " in err and str(tmp_path / "missing") in err
         assert "Traceback" not in err
 
+    def test_truth_over_the_trace_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "x"
+        assert main(["gen", "d1", "-o", str(path), "--truth", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: --truth: {path} is the trace path (-o) too\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_truth_write_removes_the_trace(self, tmp_path, capsys):
         trace = tmp_path / "g.jsonl"
         assert main(["gen", "d1", "-o", str(trace),
@@ -190,16 +197,28 @@ class TestUnpack:
         err = capsys.readouterr().err
         assert "error: " in err and "Traceback" not in err
 
-    def test_taint_log_over_the_trace_exits_1(self, d1_files, tmp_path,
-                                              capsys):
+    @pytest.mark.parametrize("option", ["--taint-log", "--report"])
+    def test_option_over_the_trace_exits_1(self, option, d1_files, tmp_path,
+                                           capsys):
         trace, _ = d1_files
         before = trace.read_bytes()
         out = tmp_path / "o"
         assert main(["unpack", str(trace), "-o", str(out),
-                     "--taint-log", str(trace)]) == 1
+                     option, str(trace)]) == 1
         assert capsys.readouterr().err == \
-            f"error: --taint-log: {trace} is the trace being read\n"
+            f"error: {option}: {trace} is the trace being read\n"
         assert trace.read_bytes() == before and not out.exists()
+
+    def test_report_over_the_taint_log_exits_1(self, d1_files, tmp_path,
+                                               capsys):
+        trace, _ = d1_files
+        out, path, alias = tmp_path / "o", tmp_path / "x", f"{tmp_path}/./x"
+        # neither exists yet: two spellings of one path
+        assert main(["unpack", str(trace), "-o", str(out),
+                     "--taint-log", str(path), "--report", alias]) == 1
+        assert capsys.readouterr().err == \
+            f"error: --report: {alias} is the --taint-log path too\n"
+        assert not out.exists() and not path.exists()
 
     def test_unwritable_taint_log_exits_1(self, d1_files, tmp_path, capsys):
         trace, _ = d1_files

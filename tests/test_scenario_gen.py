@@ -11,7 +11,8 @@ from waveunpack.scenario_gen import (
     expected_ground_truth,
     generate_scenario,
 )
-from waveunpack.taint_engine import init_taint, is_tainted_instruction, update
+from conftest import taint_step
+from waveunpack.taint_engine import init_taint
 from waveunpack.trace_model import parse_trace, write_trace
 from waveunpack.wave_collector import collect_waves
 
@@ -88,12 +89,12 @@ def test_c4_payload_writers_are_untainted():
     tw: dict = {}
     writer_seqs = []
     for ev in [ev for ev in trace.events if ev.kind == "instr"]:
+        tainted = taint_step(ev, pset, tw)
         writes_target_space = any(w.space_pid == TARGET_PID
                                   for w in ev.writes)
         if writes_target_space and ev.pid == TARGET_PID:
-            assert not is_tainted_instruction(ev, pset)
+            assert not tainted
             writer_seqs.append(ev.seq)
-        update(ev, pset, tw)
     assert writer_seqs, "scenario must contain benign payload writers"
 
     res = analyze(trace)

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TaintedIds, chunk_set, random_micro_trace, tainted_ids
+from conftest import (
+    TaintedIds,
+    chunk_set,
+    random_micro_trace,
+    taint_step,
+    tainted_ids,
+)
 from oracles import (
     naive_init,
     naive_tainted,
@@ -18,6 +24,7 @@ from oracles import (
 from waveunpack.cli import main
 from waveunpack.scenario_gen import SCENARIO_IDS, generate_scenario
 from waveunpack.taint_engine import (
+    ByteMap,
     ChunkSet,
     PropagationSet,
     init_taint,
@@ -75,8 +82,8 @@ class TestUpdate:
         ev = _instr(gaddr=0x9000,
                     reads=(MemLoc(g=0x100, v=0x500000, space_pid=1, val=7),),
                     writes=(MemLoc(g=0x200, v=0x500004, space_pid=1, val=7),))
-        update(ev, pset, tw)
-        assert pset.empty and tw == {}
+        taint_step(ev, pset, tw)
+        assert pset.empty and len(tw[1]) == 0
 
     def test_benign_cross_process_write_taints_but_skips_twrites(self):
         # benign instruction moving a tainted byte into another process
@@ -85,9 +92,9 @@ class TestUpdate:
         ev = _instr(pid=1, gaddr=0x9000,
                     reads=(MemLoc(g=0x100, v=0x500000, space_pid=1, val=7),),
                     writes=(MemLoc(g=0x200, v=0x610000, space_pid=2, val=7),))
-        update(ev, pset, tw)
+        taint_step(ev, pset, tw)
         assert 0x200 in pset.tainted_mem
-        assert tw == {}
+        assert tw.keys() == {1} and len(tw[1]) == 0
 
     def test_tainted_instr_constant_write_enters_twrites(self):
         # hand-run of the update rules over a 3-event trace
@@ -95,26 +102,36 @@ class TestUpdate:
         pset = init_taint(image)
         tw = {}
         w = MemLoc(g=0x5000, v=0x600000, space_pid=1, val=0x90)
-        update(_instr(seq=1, gaddr=0x1000, code=b"\x68\x90\x90\x90\x90",
-                      writes=(w,)), pset, tw)
+        taint_step(_instr(seq=1, gaddr=0x1000, code=b"\x68\x90\x90\x90\x90",
+                          writes=(w,)), pset, tw)
         assert 0x5000 in pset.tainted_mem
         assert tw.keys() == {1} and len(tw[1]) == 1
         assert dict(tw[1].items()) == {0x600000: 0x90}
         # an untainted overwrite then clears taint (strong update)
-        update(_instr(seq=2, gaddr=0x9000,
-                      writes=(MemLoc(g=0x5000, v=0x600000, space_pid=1,
-                                     val=0x00),)), pset, tw)
+        taint_step(_instr(seq=2, gaddr=0x9000,
+                          writes=(MemLoc(g=0x5000, v=0x600000, space_pid=1,
+                                         val=0x00),)), pset, tw)
         assert 0x5000 not in pset.tainted_mem
         # tainted register flows taint back in
         pset.tainted_regs.add((1, 1, "eax"))
-        update(_instr(seq=3, gaddr=0x9000, rregs=("eax",), writes=(w,)),
-               pset, tw)
+        taint_step(_instr(seq=3, gaddr=0x9000, rregs=("eax",), writes=(w,)),
+                   pset, tw)
         assert 0x5000 in pset.tainted_mem
 
     def test_strong_update_clears_written_registers(self):
         pset = PropagationSet(tainted_regs={(1, 1, "eax")})
-        update(_instr(gaddr=0x9000, wregs=("eax",)), pset, {})
+        taint_step(_instr(gaddr=0x9000, wregs=("eax",)), pset, {})
         assert pset.empty
+
+    def test_verdict_taints_every_output(self):
+        # clean inputs, but the caller found the instruction's bytes tainted
+        pset, tw = PropagationSet(), ByteMap()
+        ev = _instr(gaddr=0x9000, wregs=("eax",),
+                    writes=(MemLoc(g=0x200, v=0x600000, space_pid=1, val=7),))
+        assert update(ev, pset, tw, True) == (pset, tw)
+        assert 0x200 in pset.tainted_mem and len(pset.tainted_mem) == 1
+        assert pset.tainted_regs == {(1, 1, "eax")}
+        assert dict(tw.items()) == {0x600000: 7}
 
 
 class TestInclusionPredicate:
@@ -160,10 +177,10 @@ class TestInclusionPredicate:
         assert is_tainted_instruction(ev, pset)
         pset = PropagationSet(tainted_mem=chunk_set({gaddr + 5}))
         assert not is_tainted_instruction(ev, pset)
-        # and the same span seen by update's own code-span test
+        # and update taints the outputs on that verdict
         pset = PropagationSet(tainted_mem=chunk_set({gaddr + 4}))
-        update(_instr(gaddr=gaddr, code=b"\x90" * 5, wregs=("eax",)),
-               pset, {})
+        taint_step(_instr(gaddr=gaddr, code=b"\x90" * 5, wregs=("eax",)),
+                   pset, {})
         assert pset.tainted_regs == {(1, 1, "eax")}
 
 
@@ -173,7 +190,7 @@ _ids = st.builds(lambda base, off: base + off, st.sampled_from(_BASES),
                  st.integers(-300, 600))
 _spans = st.tuples(_ids, st.integers(-3, 700))
 _ops = st.lists(st.one_of(
-    st.tuples(st.sampled_from(["add", "discard", "in"]), _ids),
+    st.tuples(st.just("in"), _ids),
     st.tuples(st.sampled_from(["add_span", "isdisjoint"]), _spans),
     st.tuples(st.just("len"), st.none())), max_size=60)
 
@@ -181,19 +198,14 @@ _ops = st.lists(st.one_of(
 class TestChunkSet:
     @settings(max_examples=100, deadline=None)
     @given(_ops)
-    @example([("add", 5), ("add", 300), ("add_span", (0, 600)), ("len", None),
-              ("discard", 5), ("add_span", (0, 0)), ("add_span", (4, 2)),
+    @example([("add_span", (5, 1)), ("add_span", (300, 1)),
+              ("add_span", (0, 600)), ("len", None), ("in", 5),
+              ("add_span", (0, 0)), ("add_span", (4, 2)),
               ("isdisjoint", (5, 0)), ("isdisjoint", (5, 1)), ("len", None)])
     def test_matches_a_set(self, ops):
         mem, model, read = ChunkSet(), set(), TaintedIds()
         for op, arg in ops:
-            if op == "add":
-                mem.add(arg)
-                model.add(arg)
-            elif op == "discard":
-                mem.discard(arg)
-                model.discard(arg)
-            elif op == "in":
+            if op == "in":
                 assert (arg in mem) == (arg in model)
             elif op == "add_span":
                 start, n = arg
@@ -206,6 +218,14 @@ class TestChunkSet:
             assert len(mem) == len(model)
             assert model == read(mem)
         assert model == tainted_ids(mem)
+
+    def test_no_writer_breaks_an_invariant(self):
+        # a ByteMap marks an address only together with its value, and
+        # update alone clears tainted memory
+        for name in ("add", "discard", "add_span"):
+            assert not hasattr(ByteMap(), name), name
+        for name in ("add", "discard"):
+            assert not hasattr(ChunkSet(), name), name
 
 
 def _naive_state_matches(pset, state, read_ids):
@@ -226,12 +246,13 @@ def test_oracle_equivalence_on_micro_traces(micro_trace):
         tw_ref: dict = {}
         assert _naive_state_matches(pset, state, read_ids)
         for ev in [ev for ev in trace.events if ev.kind == "instr"]:
-            assert is_tainted_instruction(ev, pset) == naive_tainted(ev, state)
-            update(ev, pset, tw_prod)
+            assert taint_step(ev, pset, tw_prod) == naive_tainted(ev, state)
             state, tw_ref = naive_update(ev, state, tw_ref)
             assert _naive_state_matches(pset, state, read_ids)
-            assert {pid: read_tw[pid](m) for pid, m in tw_prod.items()} == tw_ref
-            assert all(len(m) == len(tw_ref[pid]) for pid, m in tw_prod.items())
+            # only a pid that recorded a write has a map in the oracle
+            written = {pid: m for pid, m in tw_prod.items() if len(m)}
+            assert {pid: read_tw[pid](m) for pid, m in written.items()} == tw_ref
+            assert all(len(m) == len(tw_ref[pid]) for pid, m in written.items())
 
 
 def test_mtrace_is_order_preserving_subsequence():
