@@ -78,23 +78,24 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def cmd_unpack(args) -> int:
-    # each would replace the trace it is made from, or the other's file
-    for option, path, other, what in (
-            ("--taint-log", args.taint_log, args.trace, "the trace being read"),
-            ("--report", args.report, args.trace, "the trace being read"),
-            ("--report", args.report, args.taint_log, "the --taint-log path too")):
-        if path and other and _same_file(path, other):
-            print(f"error: {option}: {path} is {what}", file=sys.stderr)
+    # a path exits 1 before the trace is opened if it is an earlier one's file
+    # or the new tree replaces it, bar --report naming the tree's report.json
+    earlier = []  # (path, what it is to a later one)
+    for option, path, what in (
+            ("trace", args.trace, "the trace being read"),
+            ("--taint-log", args.taint_log, "the --taint-log path too"),
+            ("--report", args.report, None)):
+        if not path:
+            continue
+        why = next((w for p, w in earlier if _same_file(path, p)), None)
+        if not why and pipeline.tree_place(path, args.out) == "owned" and not (
+                option == "--report"
+                and _same_file(path, os.path.join(args.out, "report.json"))):
+            why = f"replaced by the tree unpack writes to {args.out}"
+        if why:
+            print(f"error: {option}: {path} is {why}", file=sys.stderr)
             return 1
-    report_json = Path(args.out, "report.json").resolve()
-    for option, path in (("--taint-log", args.taint_log),
-                         ("--report", args.report)):
-        # the new tree replaces it, unless it is a --report copy of its own
-        if (path and pipeline.tree_place(path, args.out) == "owned"
-                and (option, Path(path).resolve()) != ("--report", report_json)):
-            print(f"error: {option}: {path} is replaced by the tree unpack "
-                  f"writes to {args.out}", file=sys.stderr)
-            return 1
+        earlier.append((path, what))
     return _streamed(args.trace, lambda trace: _unpack(args, trace))
 
 
@@ -109,18 +110,13 @@ def _unpack(args, trace: SystemTrace) -> int:
             result, error = None, exc
         if log:
             log.seek(0)
-            made = []  # directories made for the log, deepest first
-            try:
-                if pipeline.tree_place(args.taint_log, args.out) == "inside":
-                    out = Path(args.out).resolve()
-                    made = [d for d in (out, *out.parents) if not d.exists()]
-                    out.mkdir(parents=True, exist_ok=True)
-                with open(args.taint_log, "w", encoding="utf-8") as fh:
-                    shutil.copyfileobj(log, fh)
+            inside = pipeline.tree_place(args.taint_log, args.out) == "inside"
+            try:  # a log inside -o gets -o made for it
+                with (pipeline.output_dir(args.out) if inside
+                      else contextlib.nullcontext()):
+                    with open(args.taint_log, "w", encoding="utf-8") as fh:
+                        shutil.copyfileobj(log, fh)
             except OSError as exc:
-                for d in made:
-                    with contextlib.suppress(OSError):
-                        d.rmdir()
                 print(f"error: --taint-log: {exc}", file=sys.stderr)
                 return 1
     if error:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import re
 import shutil
 import tempfile
@@ -153,8 +155,8 @@ _PAIRS = b", [%d, %d]" * _BATCH
 def tree_place(path, out_dir) -> str:
     """Where `path` lies in the output directory `out_dir`: "outside",
     "owned" (`out_dir` or at or below a name unpack writes) or "inside"."""
-    try:
-        rel = Path(path).resolve().relative_to(Path(out_dir).resolve())
+    try:  # realpath, unlike Path.resolve, does not raise on a symlink loop
+        rel = Path(os.path.realpath(path)).relative_to(os.path.realpath(out_dir))
     except ValueError:
         return "outside"
     owned = not rel.parts or _OWNED_NAME.fullmatch(rel.parts[0])
@@ -250,34 +252,50 @@ def write_outputs(result: PipelineResult, out_dir, no_timing: bool = False,
     moved into place, replacing whatever an earlier unpack left there, so
     the directory holds exactly this run's outputs. Entries an unpack never
     writes (a taint log, say) are left alone. `report_path` gets a copy of
-    report.json before the move, so a failed copy leaves `out_dir` as it was.
+    report.json before the move, so a failed copy leaves `out_dir` as it was,
+    or absent if it was made here.
     """
     report = _untimed(result.report) if no_timing else dict(result.report)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=".unpack-", dir=out))
-    try:
-        made = set()  # staging directories created so far
-        for rel, chunks in _render(result, report):
-            path = stage / rel
-            if path.parent not in made:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                made.add(path.parent)
-            with open(path, "wb") as fh:
-                fh.writelines(chunks)
-        if report_path:
-            shutil.copyfile(stage / "report.json", report_path)
-        old = stage / ".old"
-        old.mkdir()
-        for entry in out.iterdir():
-            if _OWNED_NAME.fullmatch(entry.name):
-                entry.rename(old / entry.name)
-        for entry in stage.iterdir():
-            if entry != old:
-                entry.rename(out / entry.name)
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+    with output_dir(out_dir) as out:
+        stage = Path(tempfile.mkdtemp(prefix=".unpack-", dir=out))
+        try:
+            made = set()  # staging directories created so far
+            for rel, chunks in _render(result, report):
+                path = stage / rel
+                if path.parent not in made:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    made.add(path.parent)
+                with open(path, "wb") as fh:
+                    fh.writelines(chunks)
+            if report_path:
+                shutil.copyfile(stage / "report.json", report_path)
+            old = stage / ".old"
+            old.mkdir()
+            for entry in out.iterdir():
+                if _OWNED_NAME.fullmatch(entry.name):
+                    entry.rename(old / entry.name)
+            for entry in stage.iterdir():
+                if entry != old:
+                    entry.rename(out / entry.name)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
     return report
+
+
+@contextlib.contextmanager
+def output_dir(out_dir):
+    """Make `out_dir` and its missing parents, as spelled, for the block;
+    if the block raises, remove the ones made here again, deepest first."""
+    out = Path(out_dir)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield out
+    except BaseException:
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
 
 
 def _untimed(report: dict) -> dict:

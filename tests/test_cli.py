@@ -9,7 +9,7 @@ import shutil
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waveunpack.cli import main
@@ -318,6 +318,56 @@ class TestOutputDirectory:
         assert sorted(p.name for p in out.iterdir()) == \
             ["api_calls.jsonl", "pid100", "report.json"]
         assert main(["check", str(trace), str(out)]) == 0
+        # a new -o, and the missing directory above it, are taken away again
+        assert main(["unpack", str(trace), "-o", str(tmp_path / "new" / "out"),
+                     "--report", str(tmp_path / "missing" / "r.json")]) == 1
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("rel", ["report.json", "pid100", "pid100/wave0/x",
+                                     "."])
+    def test_trace_the_tree_replaces_exits_1(self, rel, d1_files, tmp_path,
+                                             capsys):
+        trace, _ = d1_files
+        out = tmp_path / "out"
+        assert main(["unpack", str(trace), "-o", str(out)]) == 0
+        moved = out / rel  # the trace, moved to where the tree writes
+        if moved.is_dir():
+            shutil.rmtree(moved)
+        moved.parent.mkdir(parents=True, exist_ok=True)
+        trace.replace(moved)
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert main(["unpack", str(moved), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: trace: {moved} is replaced by the tree unpack "
+            f"writes to {out}\n")
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("option", ["--report", "--taint-log", "-o"])
+    def test_symlink_loop_exits_1(self, option, d1_files, tmp_path, capsys):
+        trace, _ = d1_files
+        before = _tree(tmp_path)
+        loop, out = tmp_path / "loop", tmp_path / "out"
+        loop.symlink_to("loop")
+        assert main(["unpack", str(trace), "-o", str(out),
+                     option, str(loop)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert _tree(tmp_path) == before and not out.exists()
+
+    @pytest.mark.parametrize("log", [False, True])
+    def test_dangling_output_link_exits_1(self, log, d1_files, tmp_path,
+                                          capsys):
+        # -o is made as spelled: the link's target is not made for it
+        trace, _ = d1_files
+        out = tmp_path / "out"
+        out.symlink_to("target")
+        argv = ["unpack", str(trace), "-o", str(out)]
+        if log:  # a log inside -o has -o made for it
+            argv += ["--taint-log", str(out / "t.log")]
+        assert main(argv) == 1
+        assert "File exists" in capsys.readouterr().err
+        assert not (tmp_path / "target").exists()
 
     def test_negative_pid_tree_is_owned(self, tmp_path, capsys):
         # an unpack names the process pid-100; a rerun replaces that tree
@@ -351,6 +401,143 @@ def _write_negative_pid_trace(path):
                                   writes=locs(ev.writes))
               for ev in trace.events]
     path.write_bytes(write_trace(dataclasses.replace(trace, events=events)))
+
+
+@pytest.fixture(scope="module")
+def path_world(tmp_path_factory):
+    """The d1 trace, its taint log, and an earlier tree to unpack over,
+    whose report.json and a stray pid100/wave0/x hold the trace's bytes."""
+    root = tmp_path_factory.mktemp("world")
+    trace = root / "t.jsonl"
+    trace.write_bytes(write_trace(generate_scenario("d1", 5)[0]))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["unpack", str(trace), "-o", str(root / "tree"),
+                     "--taint-log", str(root / "t.log")]) == 0
+    for rel in ("report.json", "pid100/wave0/x"):
+        shutil.copyfile(trace, root / "tree" / rel)
+    return root
+
+
+# where a path may lead, relative to the example's directory ({o} is -o as
+# spelled): the trace, a new name, one under a missing directory, and names
+# in -o, all owned but t.log; -o leads to the earlier tree, a new name, one
+# under a missing directory, the trace or an empty directory
+_TARGETS = ["t.jsonl", "a", "missing/a", "{o}", "{o}/report.json",
+            "{o}/pid100/wave0/x", "{o}/t.log"]
+_OUT_TARGETS = ["tree", "new", "missing/new", "t.jsonl", "dir"]
+
+
+def _spellings(targets):
+    """A target as is, through sub/.. or through a symlink; or a dangling
+    symlink, a symlink loop or a directory."""
+    return st.sampled_from([(form, target)
+                            for form in ("as is", "sub/..", "link")
+                            for target in targets]
+                           + ["dangling", "loop", "dir"])
+
+
+def _spell(root: Path, spelling, out: str = "") -> str:
+    """The path, relative to `root`, that `spelling` gives, making the
+    symlink a "link" spelling needs."""
+    if isinstance(spelling, str):
+        return spelling
+    form, target = spelling
+    target = target.format(o=out)
+    if form == "as is":
+        return target
+    if form == "sub/..":
+        return f"sub/../{target}"
+    link = f"link{len(list(root.glob('link*')))}"
+    (root / link).symlink_to(root / target)
+    return link
+
+
+def _listing(root: Path) -> dict:
+    """Each path below `root`: a link's target, a file's bytes, or None for
+    a directory."""
+    found = {}
+    for top, dirs, files in os.walk(root):
+        for name in dirs + files:
+            path = os.path.join(top, name)
+            found[os.path.relpath(path, root)] = (
+                os.readlink(path) if os.path.islink(path)
+                else None if os.path.isdir(path) else Path(path).read_bytes())
+    return found
+
+
+class TestPathRoles:
+    @settings(max_examples=150, deadline=None)
+    @given(out=_spellings(_OUT_TARGETS),
+           trace=st.just(("as is", "t.jsonl")) | _spellings(_TARGETS),
+           report=st.none() | _spellings(_TARGETS),
+           log=st.none() | _spellings(_TARGETS))
+    # the trace in the tree -o replaces, a symlink loop as each role, -o a
+    # dangling link, and failures after a new -o is made, or a log written
+    @example(out=("as is", "tree"), trace=("as is", "{o}/report.json"),
+             report=None, log=None)
+    @example(out=("as is", "tree"), trace=("as is", "{o}/pid100/wave0/x"),
+             report=None, log=None)
+    @example(out=("as is", "new"), trace=("as is", "t.jsonl"), report="loop",
+             log=None)
+    @example(out=("as is", "new"), trace=("as is", "t.jsonl"), report=None,
+             log="loop")
+    @example(out="loop", trace=("as is", "t.jsonl"), report=None, log=None)
+    @example(out="dangling", trace=("as is", "t.jsonl"), report=None,
+             log=("as is", "{o}/t.log"))
+    @example(out=("as is", "missing/new"), trace=("as is", "t.jsonl"),
+             report=("as is", "missing/a"), log=None)
+    @example(out=("as is", "missing/new"), trace=("as is", "t.jsonl"),
+             report="dir", log=("as is", "{o}/t.log"))
+    @example(out=("as is", "new"), trace=("as is", "t.jsonl"), report="dir",
+             log=("as is", "a"))
+    def test_no_clash_harms_a_file(self, path_world, tmp_path_factory, out,
+                                   trace, report, log):
+        """Whatever the four paths are, unpack exits 0, 1 or 2 and the trace
+        keeps its bytes; an exit 1 leaves every file as it was, but for a
+        taint log written before the failure."""
+        root = Path(os.path.realpath(tmp_path_factory.mktemp("roles")))
+        shutil.copyfile(path_world / "t.jsonl", root / "t.jsonl")
+        if isinstance(out, tuple) and out[1] == "tree":  # only -o leads there
+            shutil.copytree(path_world / "tree", root / "tree")
+        (root / "sub").mkdir()
+        (root / "dir").mkdir()
+        (root / "dangling").symlink_to("nothere")
+        (root / "loop").symlink_to("loop")
+        out = _spell(root, out)
+        paths = {option: spelling and f"{root}/{_spell(root, spelling, out)}"
+                 for option, spelling in (("trace", trace), ("-o", out),
+                                          ("--report", report),
+                                          ("--taint-log", log))}
+        argv = ["unpack", paths["trace"]]
+        for option in ("-o", "--report", "--taint-log"):
+            argv += [option, paths[option]] if paths[option] else []
+        trace_path = Path(paths["trace"])
+        trace_bytes = trace_path.read_bytes() if trace_path.is_file() else None
+        before = _listing(root)
+
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 1, 2), stderr.getvalue()
+        if trace_bytes is not None:
+            assert trace_path.read_bytes() == trace_bytes
+        if code != 1:
+            return
+        assert stderr.getvalue().startswith("error: ")
+        after = _listing(root)
+        # the taint log is written when the replay ends, before the tree, so
+        # a later failure leaves it, and the directories made for it, behind
+        log_path = paths["--taint-log"] and os.path.realpath(
+            paths["--taint-log"])
+        if log_path and Path(log_path).is_file() and \
+                Path(log_path).read_bytes() == (path_world / "t.log").read_bytes():
+            rel = os.path.relpath(log_path, root)
+            before.pop(rel, None)
+            after.pop(rel)
+            while (rel := os.path.dirname(rel)) and rel not in before:
+                after.pop(rel)
+        assert after == before
 
 
 def _typed_trace() -> list[dict]:

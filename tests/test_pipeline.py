@@ -275,9 +275,12 @@ class TestCheckOutputs:
     ("pid", "inside"), (".", "owned"), ("report.json", "owned"),
     ("api_calls.jsonl", "owned"), ("pid100", "owned"),
     ("pid100/wave0/taint.log", "owned"), ("pid-3/x", "owned"),
-    ("logs/../api_calls.jsonl", "owned")])
+    ("logs/../api_calls.jsonl", "owned"), ("../loop", "outside"),
+    ("../loop/x", "outside"), ("../dangling", "owned")])
 def test_tree_place(rel, place, tmp_path):
     out = tmp_path / "out"  # need not exist
+    (tmp_path / "loop").symlink_to("loop")
+    (tmp_path / "dangling").symlink_to("out/pid100/taint.log")
     assert tree_place(f"{out}/{rel}", out) == place
     (tmp_path / "link").symlink_to(out, target_is_directory=True)
     assert tree_place(f"{tmp_path}/link/{rel}", out) == place
