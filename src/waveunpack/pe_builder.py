@@ -51,10 +51,6 @@ class ImportTable:
     iat_size: int = 0
     directory_size: int = 0
 
-    @property
-    def unique_count(self) -> int:
-        return len(self.slots)
-
     def _layout(self):
         base = self.placement_rva
         ndll = len(self.entries)
@@ -222,9 +218,7 @@ class SectionSpec:
 @dataclass
 class PEArtifact:
     group: MemoryGroup
-    import_table: ImportTable
-    data: bytes
-    sections: list[SectionSpec]
+    data: bytes  # the PE file
     sidecar: list[dict]
 
 
@@ -316,7 +310,5 @@ def build_artifact(group: MemoryGroup) -> PEArtifact:
     table = build_import_table(group)
     patched, api_entries = patch_branches(group, table)
     sections = layout_sections(group, table, patched)
-    return PEArtifact(group=group, import_table=table,
-                      data=emit_pe(sections, table, group.entry),
-                      sections=sections,
+    return PEArtifact(group=group, data=emit_pe(sections, table, group.entry),
                       sidecar=write_sidecar(api_entries, group.xrefs))

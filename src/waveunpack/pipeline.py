@@ -20,7 +20,7 @@ from .taint_engine import ByteMap
 from .trace_model import SystemTrace
 from .wave_collector import (
     CollectResult,
-    InstrRef,
+    InstrLog,
     Violation,
     WaveRecord,
     collect_waves,
@@ -64,7 +64,7 @@ def analyze(trace: SystemTrace, taint_log=None) -> PipelineResult:
         outputs.append(WaveOutput(record=rec, grouping=grouping,
                                   artifacts=artifacts))
 
-    violations = verify_wave_semantics(collect.records, collect.mtrace,
+    violations = verify_wave_semantics(collect.records, collect.records,
                                        collect.image)
     result = PipelineResult(page_size=trace.page_size, collect=collect,
                             per_wave_calls=per_wave, outputs=outputs,
@@ -90,8 +90,8 @@ def build_report(result: PipelineResult, elapsed: float | None = None) -> dict:
                 "group": gi,
                 "intervals": [[iv.base, iv.end] for iv in art.group.intervals],
                 "entry": art.group.entry,
-                "sections": len(art.sections),
-                "iat_size": art.import_table.unique_count,
+                "sections": len(art.group.intervals) + 1,  # and .idata
+                "iat_size": _unique_apis(art.group.calls),
                 "patched_sites": sum(1 for e in art.sidecar
                                      if e.get("kind") == "api" and e["patched"]),
                 "sidecar_entries": len(art.sidecar),
@@ -176,7 +176,7 @@ def _render(result: PipelineResult, report: dict):
     for wave_out in result.outputs:
         rec = wave_out.record
         wdir = f"pid{rec.pid}/wave{rec.wave_index}"
-        yield f"{wdir}/instrs.jsonl", _batched(map(_instr_line, rec.instrs))
+        yield f"{wdir}/instrs.jsonl", _batched(_instr_lines(rec.instrs))
         yield f"{wdir}/shadow.json", _pair_chunks(rec.shadow_pairs)
         yield f"{wdir}/twrites.json", _pair_chunks(rec.twrite_pairs)
         for base, data in rec.page_dumps.items():
@@ -208,10 +208,12 @@ def _batched(lines):
         yield batch.encode()
 
 
-def _instr_line(ref: InstrRef) -> str:
-    """One instrs.jsonl line, the text json.dumps(sort_keys=True) gives."""
-    return '{"bytes": "%s", "seq": %d, "vaddr": %d}\n' % (
-        ref.bytes.hex(), ref.seq, ref.vaddr)
+def _instr_lines(log: InstrLog):
+    """instrs.jsonl's lines, the text json.dumps(sort_keys=True) gives;
+    each distinct encoding is hex-encoded once, into a line template."""
+    lines = ['{"bytes": "%s", "seq": %%d, "vaddr": %d}\n' % (code.hex(), vaddr)
+             for vaddr, code in log.code]
+    return (lines[i] % seq for seq, i in zip(log.seqs, log.ids))
 
 
 def _pair_chunks(pairs: ByteMap):
@@ -325,7 +327,7 @@ def load_wave_records(out_dir) -> list[WaveRecord]:
     records = []
     for pid, pid_dir in _owned(out, _PID_NAME):
         for wave_index, wdir in _owned(pid_dir, _WAVE_NAME):
-            instrs = _read_instrs(wdir / "instrs.jsonl", pid)
+            instrs = _read_instrs(wdir / "instrs.jsonl")
             if not instrs:
                 raise CheckError(f"{wdir}: wave with no instructions")
             records.append(WaveRecord(
@@ -336,8 +338,8 @@ def load_wave_records(out_dir) -> list[WaveRecord]:
     return records
 
 
-def _read_instrs(path: Path, pid: int) -> list[InstrRef]:
-    instrs = []
+def _read_instrs(path: Path) -> InstrLog:
+    instrs = InstrLog()
     line_no = 0
     with open(path, encoding="utf-8") as fh:
         try:
@@ -346,11 +348,10 @@ def _read_instrs(path: Path, pid: int) -> list[InstrRef]:
                 seq, vaddr = obj["seq"], obj["vaddr"]
                 if type(seq) is not int or type(vaddr) is not int:
                     raise TypeError("'seq' and 'vaddr' must be integers")
-                instrs.append(InstrRef(seq, pid, vaddr,
-                                       bytes.fromhex(obj["bytes"])))
+                instrs.append(seq, vaddr, bytes.fromhex(obj["bytes"]))
         except KeyError as exc:
             raise CheckError(f"{path}: line {line_no}: missing key {exc}") from None
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise CheckError(f"{path}: line {line_no}: {exc}") from None
     return instrs
 
@@ -418,4 +419,4 @@ def check_outputs(trace: SystemTrace, out_dir) -> tuple[list[str], list[Violatio
     except (OSError, CheckError) as exc:
         raise CheckError(str(exc), issues) from None
     return issues, verify_wave_semantics(
-        records, result.collect.mtrace, result.collect.image)
+        records, result.collect.records, result.collect.image)

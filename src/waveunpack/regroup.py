@@ -116,10 +116,10 @@ def group_wave(wave: WaveRecord, page_size: int,
         i = holder(intervals, vaddr)
         return None if i is None else group_of[intervals[i].base]
 
-    # distinct executed addresses in first-execution order, until every
-    # group has its entry
+    # the wave's distinct code in first-execution order, until every group
+    # has its entry
     unentered = len(groups)
-    for vaddr in dict.fromkeys(ref.vaddr for ref in wave.instrs):
+    for vaddr, _ in wave.instrs.code:
         if (grp := group_holding(vaddr)) is not None and grp.entry is None:
             grp.entry = vaddr
             unentered -= 1

@@ -371,8 +371,8 @@ def _check_stream(numbered_events):
 
     The rules: instruction invariants, at most one image, which fits in 32
     bits, no instruction of the malware pid before it, and strictly rising
-    seq. A lazy source fails on its first bad line, whether the fault is in
-    the line or the stream.
+    seq that fits in signed 64 bits, as waves log it. A lazy source fails on
+    its first bad line, whether the fault is in the line or the stream.
     """
     last_seq = None
     image_seen = False
@@ -385,6 +385,9 @@ def _check_stream(numbered_events):
             if last_seq is not None and seq <= last_seq:
                 raise TraceFormatError(
                     f"non-monotone seq {seq} (previous {last_seq})", line_no)
+            if not -(1 << 63) <= seq < 1 << 63:
+                raise TraceFormatError(
+                    f"seq {seq} does not fit in signed 64 bits", line_no)
             last_seq = seq
             if not image_seen:
                 instr_pids_before_image.add(ev.pid)

@@ -17,9 +17,9 @@ one wave's shadow memory are listed in ascending address order.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain, groupby
-from typing import NamedTuple
 
 from .api_monitor import ApiCallRecord, ApiMonitor
 from .taint_engine import (
@@ -32,16 +32,26 @@ from .taint_engine import (
 )
 from .trace_model import ObservedMemory, SystemTrace, TraceEvent
 
-class InstrRef(NamedTuple):
-    """Reference to one executed instruction of the malware trace."""
 
-    seq: int
-    pid: int
-    vaddr: int
-    bytes: bytes
+class InstrLog:
+    """A wave's executed instructions in execution order, about 12 bytes
+    each: `seqs[k]` is the k-th one's seq and `ids[k]` the index of its
+    (vaddr, encoding) in `code`, the wave's distinct code in
+    first-execution order."""
 
-    def code_pairs(self):
-        return [(self.vaddr + i, b) for i, b in enumerate(self.bytes)]
+    __slots__ = ("seqs", "ids", "code")
+
+    def __init__(self):
+        self.seqs = array("q")
+        self.ids = array("i")
+        self.code: dict[tuple[int, bytes], int] = {}
+
+    def append(self, seq: int, vaddr: int, encoding: bytes):
+        self.seqs.append(seq)
+        self.ids.append(self.code.setdefault((vaddr, encoding), len(self.code)))
+
+    def __len__(self) -> int:
+        return len(self.seqs)
 
 
 @dataclass
@@ -51,7 +61,7 @@ class ProcessState:
     pid: int
     shadow: ByteMap = field(default_factory=ByteMap)
     twrites: ByteMap = field(default_factory=ByteMap)
-    cur_instrs: list[InstrRef] = field(default_factory=list)
+    instrs: InstrLog = field(default_factory=InstrLog)
     wave_index: int = 0
 
 
@@ -61,27 +71,26 @@ class WaveRecord:
 
     pid: int
     wave_index: int
-    instrs: list[InstrRef]
+    instrs: InstrLog
     shadow_pairs: ByteMap
     twrite_pairs: ByteMap
     page_dumps: dict[int, bytes]
 
     @property
     def entry_vaddr(self) -> int:
-        return self.instrs[0].vaddr
+        return next(iter(self.instrs.code))[0]
 
     @property
     def first_seq(self) -> int:
-        return self.instrs[0].seq
+        return self.instrs.seqs[0]
 
     @property
     def last_seq(self) -> int:
-        return self.instrs[-1].seq
+        return self.instrs.seqs[-1]
 
 
 @dataclass
 class CollectResult:
-    mtrace: list[InstrRef]
     records: list[WaveRecord]  # in closing order
     calls: list[ApiCallRecord]  # in detection order, each with its wave_id
     image: TraceEvent | None  # None when the trace loads no image
@@ -129,23 +138,22 @@ def _dump_pages(pid: int, shadow: ByteMap, twrites: ByteMap,
     return {p: observed.page(pid, p) for p in sorted(pages)}
 
 
-def dump_wave(state: ProcessState, trigger: InstrRef | None,
-              observed: ObservedMemory, page_size: int) -> WaveRecord | None:
+def dump_wave(state: ProcessState, observed: ObservedMemory,
+              page_size: int) -> WaveRecord | None:
     """Close the current wave and rotate state for the next one.
 
     Returns the logged record, or None when the wave executed nothing
     (zero-instruction waves are suppressed). The new wave's shadow memory is
-    the closed wave's tainted writes; the trigger instruction, if any,
-    becomes the new wave's entry point. The record takes over the state's
-    shadow, tainted writes and instruction list; the state gets new ones.
+    the closed wave's tainted writes. The record takes over the state's
+    shadow, tainted writes and instruction log; the state gets new ones.
     """
     twrites = state.twrites
     record = None
-    if state.cur_instrs:
+    if state.instrs:
         record = WaveRecord(
             pid=state.pid,
             wave_index=state.wave_index,
-            instrs=state.cur_instrs,
+            instrs=state.instrs,
             shadow_pairs=state.shadow,
             twrite_pairs=twrites,
             page_dumps=_dump_pages(state.pid, state.shadow, twrites,
@@ -154,7 +162,7 @@ def dump_wave(state: ProcessState, trigger: InstrRef | None,
         state.wave_index += 1
     state.shadow = twrites.copy()
     state.twrites = ByteMap()
-    state.cur_instrs = [trigger] if trigger is not None else []
+    state.instrs = InstrLog()
     return record
 
 
@@ -174,14 +182,13 @@ def collect_waves(trace: SystemTrace, taint_log=None) -> CollectResult:
     pset = PropagationSet()
     states: dict[int, ProcessState] = {}
     records: list[WaveRecord] = []
-    mtrace: list[InstrRef] = []
     image = None
 
     def state_for(pid: int) -> ProcessState:
         return states.setdefault(pid, ProcessState(pid=pid))
 
-    def close(st: ProcessState, trigger: InstrRef | None):
-        rec = dump_wave(st, trigger, observed, page_size)
+    def close(st: ProcessState):
+        rec = dump_wave(st, observed, page_size)
         if rec is not None:
             records.append(rec)
 
@@ -200,7 +207,7 @@ def collect_waves(trace: SystemTrace, taint_log=None) -> CollectResult:
         if kind == "procexit":
             st = states.get(ev.pid)
             if st is not None:
-                close(st, None)
+                close(st)
             monitor.on_procexit(ev.pid)
             continue
 
@@ -210,16 +217,12 @@ def collect_waves(trace: SystemTrace, taint_log=None) -> CollectResult:
         tainted = is_tainted_instruction(ev, pset)
         st = states.get(ev.pid) or state_for(ev.pid)
         if tainted:
-            ref = InstrRef(ev.seq, ev.pid, ev.vaddr, ev.bytes)
-            mtrace.append(ref)
             case = classify_case(ev, st)
             if case == 1:
                 st.shadow.store(ev.vaddr, ev.bytes)
-                st.cur_instrs.append(ref)
-            elif case in (2, 3):
-                close(st, ref)
-            else:
-                st.cur_instrs.append(ref)
+            elif case in (2, 3):  # the instruction opens the next wave
+                close(st)
+            st.instrs.append(ev.seq, ev.vaddr, ev.bytes)
             if ev.branch is not None:  # only a branch can call an API
                 monitor.on_malware_instr(ev, (ev.pid, st.wave_index))
         update(ev, pset, st.twrites, tainted)
@@ -233,12 +236,12 @@ def collect_waves(trace: SystemTrace, taint_log=None) -> CollectResult:
         pass
 
     for pid in sorted(states):
-        close(states[pid], None)
-    return CollectResult(mtrace=mtrace, records=records,
-                         calls=monitor.records, image=image)
+        close(states[pid])
+    return CollectResult(records=records, calls=monitor.records, image=image)
 
 
-def verify_wave_semantics(records: list[WaveRecord], mtrace: list[InstrRef],
+def verify_wave_semantics(records: list[WaveRecord],
+                          collected: list[WaveRecord],
                           image_event: TraceEvent | None) -> list[Violation]:
     """Check the four wave-set requirements; violations are data, not errors.
 
@@ -249,22 +252,25 @@ def verify_wave_semantics(records: list[WaveRecord], mtrace: list[InstrRef],
        wave itself executed (case-1 arrivals add their own bytes);
     4. every instruction's bytes are present in its wave's shadow memory.
 
-    Violations of one wave's bullet 3 are listed in address order.
+    The malware trace of bullet 1 is the instructions of `collected`, the
+    waves collect_waves found in the trace. Violations of one wave's
+    bullet 3 are listed in address order.
     """
     out: list[Violation] = []
 
     seen: dict[int, tuple[int, int]] = {}
     for rec in records:
-        for ref in rec.instrs:
-            if ref.seq in seen:
+        wave = (rec.pid, rec.wave_index)
+        for seq in rec.instrs.seqs:
+            if seq in seen:
                 out.append(Violation(1, rec.pid, rec.wave_index,
-                                     f"instruction seq {ref.seq} appears in wave "
-                                     f"{seen[ref.seq]} and again here"))
-            seen[ref.seq] = (rec.pid, rec.wave_index)
-    for ref in mtrace:
-        if ref.seq not in seen:
-            out.append(Violation(1, ref.pid, -1,
-                                 f"instruction seq {ref.seq} is in no wave"))
+                                     f"instruction seq {seq} appears in wave "
+                                     f"{seen[seq]} and again here"))
+            seen[seq] = wave
+    lost = sorted((seq, rec.pid) for rec in collected
+                  for seq in rec.instrs.seqs if seq not in seen)
+    out.extend(Violation(1, pid, -1, f"instruction seq {seq} is in no wave")
+               for seq, pid in lost)
 
     by_pid: dict[int, list[WaveRecord]] = {}
     for rec in records:
@@ -294,19 +300,14 @@ def verify_wave_semantics(records: list[WaveRecord], mtrace: list[InstrRef],
     out.extend(chain.from_iterable(provenance))
 
     for rec in records:
-        shadow = rec.shadow_pairs
+        shadow, log = rec.shadow_pairs, rec.instrs
         # first byte of each distinct encoding missing from the shadow, or None
-        missing: dict[tuple[int, bytes], int | None] = {}
-        for ref in rec.instrs:
-            key = (ref.vaddr, ref.bytes)
-            if key not in missing:
-                missing[key] = next((v for v, b in ref.code_pairs()
-                                     if shadow.get(v) != b), None)
-            v = missing[key]
-            if v is not None:
-                out.append(Violation(4, rec.pid, rec.wave_index,
-                                     f"instruction seq {ref.seq} byte at {v:#x} "
-                                     f"missing from shadow"))
+        missing = [next((v for v, b in zip(range(vaddr, vaddr + len(code)), code)
+                         if shadow.get(v) != b), None) for vaddr, code in log.code]
+        out.extend(Violation(4, rec.pid, rec.wave_index,
+                             f"instruction seq {seq} byte at {missing[i]:#x} "
+                             f"missing from shadow")
+                   for seq, i in zip(log.seqs, log.ids) if missing[i] is not None)
     return out
 
 
@@ -315,7 +316,7 @@ def _provenance_violations(rec: WaveRecord, earlier_tw: set[tuple[int, int]],
     """Bullet 3 for one wave, in address order: shadow pairs that are not
     image bytes, earlier waves' tainted writes or the wave's own code."""
     own_pairs = set()
-    for vaddr, code in {(ref.vaddr, ref.bytes) for ref in rec.instrs}:
+    for vaddr, code in rec.instrs.code:
         own_pairs.update(zip(range(vaddr, vaddr + len(code)), code))
     out = []
     for start, data in rec.shadow_pairs.runs():

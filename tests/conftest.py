@@ -18,6 +18,7 @@ from waveunpack.taint_engine import (
     update,
 )
 from waveunpack.trace_model import MemLoc, SystemTrace, TraceEvent
+from waveunpack.wave_collector import InstrLog
 
 PAGE = 4096
 
@@ -28,6 +29,20 @@ def bytemap(pairs: dict[int, int]) -> ByteMap:
     for vaddr, byte in pairs.items():
         bmap[vaddr] = byte
     return bmap
+
+
+def instr_log(instrs) -> InstrLog:
+    """An InstrLog of (seq, vaddr, encoding) triples, in the order given."""
+    log = InstrLog()
+    for seq, vaddr, code in instrs:
+        log.append(seq, vaddr, code)
+    return log
+
+
+def instrs_of(log: InstrLog) -> list[tuple[int, int, bytes]]:
+    """The (seq, vaddr, encoding) triples of an InstrLog, in order."""
+    code = list(log.code)
+    return [(seq, *code[i]) for seq, i in zip(log.seqs, log.ids)]
 
 
 def chunk_set(ids) -> ChunkSet:

@@ -286,14 +286,39 @@ def reference_classify_case(ev, state) -> int:
     return 4
 
 
-def _code_pairs(ref):
-    return [(ref.vaddr + i, b) for i, b in enumerate(ref.bytes)]
+def reference_tainted_seqs(events) -> list[int]:
+    """Seqs of the instructions the reference taint rules call tainted, in
+    trace order: the malware trace that the waves partition."""
+    state = (frozenset(), frozenset())
+    seqs = []
+    for ev in events:
+        if ev.kind == "image":
+            state = naive_init(ev)
+        elif ev.kind == "instr":
+            if naive_tainted(ev, state):
+                seqs.append(ev.seq)
+            state, _ = naive_update(ev, state, {})
+    return seqs
 
 
-def reference_verify_wave_semantics(records, mtrace, image_event) -> list[str]:
+def _instrs(rec) -> list[tuple[int, int, bytes]]:
+    """(seq, vaddr, encoding) of each instruction of a wave, whose log keeps
+    the seqs and, in `ids`, indexes into its table of distinct `code`."""
+    code = list(rec.instrs.code)
+    return [(seq, *code[i]) for seq, i in zip(rec.instrs.seqs, rec.instrs.ids)]
+
+
+def _code_pairs(vaddr, code):
+    return [(vaddr + i, b) for i, b in enumerate(code)]
+
+
+def reference_verify_wave_semantics(records, collected, image_event) -> list[str]:
     """Check the four wave-set requirements pair by pair, per instruction:
     the specification of wave_collector.verify_wave_semantics, whose
-    violations print as the strings returned here, in the same order."""
+    violations print as the strings returned here, in the same order.
+
+    The malware trace is the instructions of the `collected` waves.
+    """
     out: list[str] = []
 
     def violation(bullet, pid, wave_index, detail):
@@ -301,15 +326,20 @@ def reference_verify_wave_semantics(records, mtrace, image_event) -> list[str]:
 
     seen: dict[int, tuple[int, int]] = {}
     for rec in records:
-        for ref in rec.instrs:
-            if ref.seq in seen:
+        for seq, _, _ in _instrs(rec):
+            if seq in seen:
                 violation(1, rec.pid, rec.wave_index,
-                          f"instruction seq {ref.seq} appears in wave "
-                          f"{seen[ref.seq]} and again here")
-            seen[ref.seq] = (rec.pid, rec.wave_index)
-    for ref in mtrace:
-        if ref.seq not in seen:
-            violation(1, ref.pid, -1, f"instruction seq {ref.seq} is in no wave")
+                          f"instruction seq {seq} appears in wave "
+                          f"{seen[seq]} and again here")
+            seen[seq] = (rec.pid, rec.wave_index)
+    mtrace = sorted((seq, rec.pid) for rec in collected
+                    for seq, _, _ in _instrs(rec))
+    for seq, pid in mtrace:
+        if seq not in seen:
+            violation(1, pid, -1, f"instruction seq {seq} is in no wave")
+
+    def seqs(rec):
+        return [seq for seq, _, _ in _instrs(rec)]
 
     by_pid: dict[int, list] = {}
     for rec in records:
@@ -317,10 +347,10 @@ def reference_verify_wave_semantics(records, mtrace, image_event) -> list[str]:
     for pid, recs in by_pid.items():
         recs = sorted(recs, key=lambda r: r.wave_index)
         for prev, cur in zip(recs, recs[1:]):
-            if prev.instrs[-1].seq >= cur.instrs[0].seq:
+            if seqs(prev)[-1] >= seqs(cur)[0]:
                 violation(2, pid, cur.wave_index,
-                          f"wave overlaps predecessor: seq {prev.instrs[-1].seq} "
-                          f">= {cur.instrs[0].seq}")
+                          f"wave overlaps predecessor: seq {seqs(prev)[-1]} "
+                          f">= {seqs(cur)[0]}")
 
     image_pairs = set()
     if image_event is not None:
@@ -329,11 +359,11 @@ def reference_verify_wave_semantics(records, mtrace, image_event) -> list[str]:
     for rec in records:
         earlier_tw = set()
         for other in records:
-            if other is not rec and other.instrs[0].seq < rec.instrs[0].seq:
+            if other is not rec and seqs(other)[0] < seqs(rec)[0]:
                 earlier_tw.update(other.twrite_pairs.items())
         own_pairs = set()
-        for ref in rec.instrs:
-            own_pairs.update(_code_pairs(ref))
+        for _, vaddr, code in _instrs(rec):
+            own_pairs.update(_code_pairs(vaddr, code))
         for pair in rec.shadow_pairs.items():
             if pair in image_pairs or pair in earlier_tw or pair in own_pairs:
                 continue
@@ -342,11 +372,11 @@ def reference_verify_wave_semantics(records, mtrace, image_event) -> list[str]:
                       f"legitimate provenance")
 
     for rec in records:
-        for ref in rec.instrs:
-            for v, b in _code_pairs(ref):
+        for seq, vaddr, code in _instrs(rec):
+            for v, b in _code_pairs(vaddr, code):
                 if rec.shadow_pairs.get(v) != b:
                     violation(4, rec.pid, rec.wave_index,
-                              f"instruction seq {ref.seq} byte at {v:#x} "
+                              f"instruction seq {seq} byte at {v:#x} "
                               f"missing from shadow")
                     break
     return out

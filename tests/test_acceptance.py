@@ -12,7 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import TaintedIds, bytemap, random_micro_trace, taint_step
+from conftest import (
+    TaintedIds,
+    bytemap,
+    instr_log,
+    random_micro_trace,
+    taint_step,
+)
 from oracles import decode, naive_init, naive_tainted, naive_update, read_pe
 from waveunpack.pe_builder import build_artifact
 from waveunpack.pipeline import analyze, write_outputs
@@ -26,7 +32,6 @@ from waveunpack.scenario_gen import (
 from waveunpack.taint_engine import ByteMap, init_taint
 from waveunpack.trace_model import TraceEvent
 from waveunpack.wave_collector import (
-    InstrRef,
     WaveRecord,
     collect_waves,
     verify_wave_semantics,
@@ -82,31 +87,32 @@ def test_criterion_2_wave_semantics(full_sweep):
                        name="t.exe", bytes=b"\x90\x90")
 
     def rec(pid, widx, instrs, shadow, twrites):
-        return WaveRecord(pid=pid, wave_index=widx, instrs=instrs,
+        return WaveRecord(pid=pid, wave_index=widx, instrs=instr_log(instrs),
                           shadow_pairs=bytemap(shadow),
                           twrite_pairs=bytemap(twrites), page_dumps={})
 
-    r1 = InstrRef(1, 1, 0x400000, b"\x90")
-    stray = InstrRef(9, 1, 0x400001, b"\x90")
+    r1 = (1, 0x400000, b"\x90")
+    stray = (9, 0x400001, b"\x90")
     missing = verify_wave_semantics(
-        [rec(1, 0, [r1], {0x400000: 0x90}, {})], [r1, stray], image)
+        [rec(1, 0, [r1], {0x400000: 0x90}, {})],
+        [rec(1, 0, [r1, stray], {0x400000: 0x90}, {})], image)
     assert any(v.bullet == 1 for v in missing)
 
     overlap = verify_wave_semantics(
-        [rec(1, 0, [InstrRef(5, 1, 0x400000, b"\x90")], {0x400000: 0x90}, {}),
-         rec(1, 1, [InstrRef(4, 1, 0x400001, b"\x90")], {0x400001: 0x90}, {})],
+        [rec(1, 0, [(5, 0x400000, b"\x90")], {0x400000: 0x90}, {}),
+         rec(1, 1, [(4, 0x400001, b"\x90")], {0x400001: 0x90}, {})],
         [], image)
     assert any(v.bullet == 2 for v in overlap)
 
     provenance = verify_wave_semantics(
         [rec(1, 0, [r1], {0x400000: 0x90, 0x600000: 0x41}, {}),
-         rec(1, 1, [InstrRef(2, 1, 0x400001, b"\x90")], {0x400001: 0x90},
+         rec(1, 1, [(2, 0x400001, b"\x90")], {0x400001: 0x90},
              {0x600000: 0x41})],
         [], image)
     assert any(v.bullet == 3 and v.wave_index == 0 for v in provenance)
 
     coverage = verify_wave_semantics(
-        [rec(1, 0, [InstrRef(1, 1, 0x400000, b"\x90\x90")],
+        [rec(1, 0, [(1, 0x400000, b"\x90\x90")],
              {0x400000: 0x90}, {})], [], image)
     assert any(v.bullet == 4 for v in coverage)
 
@@ -165,7 +171,7 @@ def test_criterion_4_benign_writer_wave_captured():
         result = analyze(trace)
         waves = [r for r in result.collect.records if r.pid == TARGET_PID]
         assert len(waves) == 1 and len(waves[0].instrs) >= 1
-        assert not {i.seq for i in waves[0].instrs} & set(writers)
+        assert not set(waves[0].instrs.seqs) & set(writers)
     _verdict(4, "c4 payload writers are untainted, injected wave captured")
 
 
@@ -190,9 +196,9 @@ def test_criterion_6_page_grouping_worked_example():
     code[0:5] = b"\x68\x00\x00\x20\x06"  # push of the related region
     code[5] = 0xC3
     dumps[0x5300000] = bytes(code)
-    instrs = [InstrRef(1, 1, 0x5300000, b"\x68\x00\x00\x20\x06"),
-              InstrRef(2, 1, 0x5300005, b"\xc3"),
-              InstrRef(3, 1, 0x5301000, b"\x90")]
+    instrs = instr_log([(1, 0x5300000, b"\x68\x00\x00\x20\x06"),
+                        (2, 0x5300005, b"\xc3"),
+                        (3, 0x5301000, b"\x90")])
     shadow = {v: dumps[v - v % page][v % page]
               for v in list(range(0x5300000, 0x5300006)) + [0x5301000]}
     for p in tainted:
@@ -231,13 +237,20 @@ def test_criterion_7_pe_validity(pe_sample):
         assert pe.machine == 0x14C and pe.magic == 0x10B
         assert pe.image_base == 0
         assert pe.section_align == 0x1000 and pe.file_align == 0x200
-        got_sections = [(s.name, s.vaddr) for s in pe.sections]
-        want_sections = [(s.name, s.rva) for s in art.sections]
-        assert sorted(got_sections, key=lambda s: s[1]) == \
-            sorted(want_sections, key=lambda s: s[1])
+        # one .wsegN per interval, in the group's order, and the .idata
+        wsegs = {s.name: (s.vaddr, s.vsize) for s in pe.sections
+                 if s.name != ".idata"}
+        assert wsegs == {f".wseg{i}": (iv.base, iv.end - iv.base)
+                         for i, iv in enumerate(art.group.intervals)}
+        assert len(pe.sections) == len(wsegs) + 1
         assert pe.entry == art.group.entry
 
-        want_imports = {dll: fns for dll, fns in art.import_table.entries}
+        # each module's called functions, once each, in call order
+        want_imports: dict[str, list[str]] = {}
+        for call in art.group.calls:
+            fns = want_imports.setdefault(call.module_name, [])
+            if call.function_name not in fns:
+                fns.append(call.function_name)
         assert pe.imports == want_imports
 
         for entry in art.sidecar:
@@ -316,9 +329,9 @@ def test_criterion_8_patch_rules(full_sweep):
                    if e.get("kind") == "api" and e["len"] == 1]
     assert ret_entries and all(not e["patched"] for e in ret_entries)
     assert ret_entries[0]["function"] == "kernel32!ExitProcess"
-    ret_ref = next(i for i in final.instrs
-                   if i.vaddr == ret_entries[0]["caller_vaddr"])
-    assert ret_ref.bytes == b"\xc3"
+    ret_code = next(code for vaddr, code in final.instrs.code
+                    if vaddr == ret_entries[0]["caller_vaddr"])
+    assert ret_code == b"\xc3"
     _verdict(8, "6-byte sites rewritten in place, shorter sites (including "
                 "the push/ror/ret pattern) only recorded")
 

@@ -161,7 +161,7 @@ class TestAttribution:
         trace, _ = generate_scenario("m1", 1)
         result = collect_waves(trace)
         per_wave = attribute_calls(result.calls, result.records)
-        by_key = {(r.pid, r.wave_index): {i.seq for i in r.instrs}
+        by_key = {(r.pid, r.wave_index): set(r.instrs.seqs)
                   for r in result.records}
         for key, calls in per_wave.items():
             for call in calls:
@@ -174,8 +174,8 @@ class TestAttribution:
             for seed in range(10):
                 trace, _ = generate_scenario(sid, seed)
                 result = collect_waves(trace)
-                owner = {ref.seq: (rec.pid, rec.wave_index)
-                         for rec in result.records for ref in rec.instrs}
+                owner = {seq: (rec.pid, rec.wave_index)
+                         for rec in result.records for seq in rec.instrs.seqs}
                 assert result.calls
                 for call in result.calls:
                     assert call.wave_id == owner[call.caller_seq], \

@@ -734,6 +734,14 @@ _DAMAGED_TREES = {
         lambda out: _write_lines(out / "pid100" / "wave0" / "instrs.jsonl",
                                  _drop_vaddr),
         1, "wave0/instrs.jsonl: line 1: missing key 'vaddr'"),
+    # a wave logs its seqs as signed 64-bit integers
+    "instrs-seq-beyond-64-bits": (
+        lambda out: _write_lines(
+            out / "pid100" / "wave1" / "instrs.jsonl",
+            # 20 more digits before the first seq
+            lambda ls: [ls[0].replace('"seq": ', '"seq": ' + "9" * 20, 1)]
+            + ls[1:]),
+        1, "wave1/instrs.jsonl: line 1: "),
     "shadow-truncated": (
         lambda out: _write_lines(out / "pid100" / "wave0" / "shadow.json",
                                  lambda ls: ["".join(ls)[:-20]]),

@@ -46,7 +46,7 @@ class TestImportTable:
                  _call(3, 0x5300030, bytes(2), "GetProcAddress"),
                  _call(4, 0x5300040, bytes(1), "ExitProcess")]
         table = build_import_table(_group((0x5300000, 0x5301000), calls=calls))
-        assert table.unique_count == 3
+        assert len(table.slots) == 3
         assert table.entries == [("kernel32", ["GetModuleHandleA",
                                                "GetProcAddress",
                                                "ExitProcess"])]
@@ -216,7 +216,8 @@ class TestEmit:
         art = build_artifact(g)
         pe = read_pe(art.data)
         assert pe.imports == {}
-        assert pe.import_dir[0] == art.import_table.placement_rva
+        idata = next(s for s in pe.sections if s.name == ".idata")
+        assert pe.import_dir[0] == idata.vaddr
 
     def test_patched_slot_resolves_to_observed_function(self):
         art = self._artifact()
@@ -233,11 +234,12 @@ class TestEmit:
     def test_artifact_sections_are_the_emitted_sections(self):
         # .idata sits between the two intervals, so the RVA order interleaves
         g = _group((0x1000, 0x3000), (0x8000, 0x9000))
-        art = build_artifact(g)
-        pe = read_pe(art.data)
-        assert [(s.name, s.rva, len(s.data)) for s in art.sections] == \
+        table = build_import_table(g)
+        sections = layout_sections(g, table, patch_branches(g, table)[0])
+        pe = read_pe(build_artifact(g).data)
+        assert [(s.name, s.rva, len(s.data)) for s in sections] == \
             [(s.name, s.vaddr, s.vsize) for s in pe.sections]
-        assert [s.name for s in art.sections] == [".wseg0", ".idata", ".wseg1"]
+        assert [s.name for s in pe.sections] == [".wseg0", ".idata", ".wseg1"]
 
     def test_size_of_image_covers_everything(self):
         art = self._artifact()

@@ -7,7 +7,7 @@ import random
 import struct
 import tracemalloc
 
-from conftest import bytemap, holds
+from conftest import bytemap, holds, instr_log, instrs_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import read_pe
@@ -15,7 +15,7 @@ import pytest
 
 from waveunpack.pipeline import (
     _BATCH,
-    _instr_line,
+    _instr_lines,
     _pair_chunks,
     analyze,
     check_outputs,
@@ -36,7 +36,11 @@ from waveunpack.scenario_gen import (
 )
 from waveunpack.trace_model import Branch, iter_trace, write_trace
 from waveunpack.taint_engine import CHUNK_SIZE, ByteMap
-from waveunpack.wave_collector import InstrRef
+
+
+def _iat_size(art) -> int:
+    """Functions the emitted PE imports, read back from its file."""
+    return sum(map(len, read_pe(art.data).imports.values()))
 
 
 def _final_output(result):
@@ -49,14 +53,14 @@ class TestStaticStage:
         _, _, result = d1_run
         out = _final_output(result)
         assert len(out.artifacts) == 1
-        assert out.artifacts[0].import_table.unique_count == 3
+        assert _iat_size(out.artifacts[0]) == 3
 
     def test_c4_group_has_one_import_and_one_sidecar_entry(self):
         trace, _ = generate_scenario("c4", 0)
         result = analyze(trace)
         out = _final_output(result)
         art = out.artifacts[0]
-        assert art.import_table.unique_count == 1
+        assert _iat_size(art) == 1
         api_entries = [e for e in art.sidecar if e["kind"] == "api"]
         assert len(api_entries) == 1
         assert api_entries[0]["function"] == "kernel32!LoadLibraryA"
@@ -67,15 +71,15 @@ class TestStaticStage:
         assert result.per_wave_calls[(first.record.pid,
                                       first.record.wave_index)] == []
         assert first.artifacts
-        assert first.artifacts[0].import_table.unique_count == 0
+        assert _iat_size(first.artifacts[0]) == 0
 
     def test_entry_points_are_first_in_range(self, d1_run):
         _, _, result = d1_run
         for out in result.outputs:
             for art in out.artifacts:
-                hits = [r for r in out.record.instrs
-                        if holds(art.group, r.vaddr)]
-                assert art.group.entry == hits[0].vaddr
+                hits = [vaddr for _, vaddr, _ in instrs_of(out.record.instrs)
+                        if holds(art.group, vaddr)]
+                assert art.group.entry == hits[0]
 
     def test_call_running_onto_undumped_page_is_imported_unpatched(self):
         # a 6-byte call whose last two bytes lie on a page never dumped
@@ -103,9 +107,9 @@ class TestStaticStage:
         trace = _two_function_site_trace(site)
         result = analyze(trace)
         art = result.outputs[0].artifacts[0]
-        assert art.import_table.entries == [("kernel32",
-                                             ["Sleep", "ExitProcess"])]
-        slots = art.import_table.slots
+        pe = read_pe(art.data)
+        assert pe.imports == {"kernel32": ["Sleep", "ExitProcess"]}
+        slots = {name: rva for rva, name in pe.iat_slots.items()}
         api = [(e["caller_vaddr"], e["len"], e["function"], e["slot_rva"],
                 e["patched"]) for e in art.sidecar if e["kind"] == "api"]
         assert api == [
@@ -113,7 +117,7 @@ class TestStaticStage:
              False),
             (0x400001, len(site), "kernel32!ExitProcess",
              slots[("kernel32", "ExitProcess")], False)]
-        assert read_pe(art.data).read_va(0x400001, len(site)) == site
+        assert pe.read_va(0x400001, len(site)) == site
         group = result.report["processes"][0]["waves"][0]["groups"][0]
         assert (group["iat_size"], group["sidecar_entries"],
                 group["patched_sites"]) == (2, 2, 0)
@@ -168,6 +172,14 @@ class TestReport:
         summary = result.report["summary"]
         assert summary["pe_files"] == sum(len(o.artifacts)
                                           for o in result.outputs)
+        # each group's section and import counts are those of its file
+        for out, wave in zip(result.outputs,
+                             result.report["processes"][0]["waves"],
+                             strict=True):
+            for art, group in zip(out.artifacts, wave["groups"], strict=True):
+                pe = read_pe(art.data)
+                assert group["sections"] == len(pe.sections)
+                assert group["iat_size"] == _iat_size(art)
         assert summary["waves"] == len(result.collect.records)
         assert summary["api_calls"] == len(result.collect.calls)
 
@@ -245,9 +257,11 @@ def test_pair_file_matches_json_dump_of_random_runs(drawn):
     (7, 0x401000, b"\xff\x15\x00\x10\x40\x00"),
 ])
 def test_instr_line_matches_json_dumps(seq, vaddr, code):
-    line = _instr_line(InstrRef(seq, 1, vaddr, code))
-    assert line == json.dumps({"seq": seq, "vaddr": vaddr, "bytes": code.hex()},
-                              sort_keys=True) + "\n"
+    # the encoding runs twice, around another one
+    instrs = [(seq, vaddr, code), (seq + 1, 0x10, b"\xc3"), (seq + 2, vaddr, code)]
+    assert list(_instr_lines(instr_log(instrs))) == [
+        json.dumps({"seq": s, "vaddr": v, "bytes": c.hex()}, sort_keys=True)
+        + "\n" for s, v, c in instrs]
 
 
 class TestCheckOutputs:
@@ -372,12 +386,14 @@ def _packer_then_background(benign: int) -> bytes:
 
 
 class _LineCount:
-    """A taint log that only counts its lines."""
+    """A taint log that only counts its lines, and those of tainted
+    instructions."""
 
-    lines = 0
+    lines = tainted = 0
 
     def write(self, text):
         self.lines += text.count("\n")
+        self.tainted += text.count("tainted_instr:true")
 
 
 def test_streamed_analyze_memory_is_bounded_by_live_state():
@@ -395,6 +411,9 @@ def test_streamed_analyze_memory_is_bounded_by_live_state():
         finally:
             tracemalloc.stop()
         assert result.report["summary"]["waves"] == 2
-        # taint stays alive, so every instruction is replayed
-        assert log.lines == len(result.collect.mtrace) + benign
+        # taint stays alive, so every instruction is replayed, and the
+        # tainted ones are the waves' instructions
+        instructions = sum(len(r.instrs) for r in result.collect.records)
+        assert log.tainted == instructions
+        assert log.lines == instructions + benign
     assert peaks[1] <= 1.2 * peaks[0], peaks

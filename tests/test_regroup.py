@@ -2,23 +2,23 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import bytemap, holds
+from conftest import bytemap, holds, instr_log, instrs_of
 from oracles import read_pe
 from waveunpack.api_monitor import ApiCallRecord
 from waveunpack.regroup import Interval, group_wave, merge_groups
-from waveunpack.wave_collector import InstrRef, WaveRecord
+from waveunpack.wave_collector import WaveRecord
 
 PAGE = 4096
 
 
 def _wave(instrs, dumps, shadow=None, twrites=None, pid=1):
-    return WaveRecord(pid=pid, wave_index=0, instrs=instrs,
+    return WaveRecord(pid=pid, wave_index=0, instrs=instr_log(instrs),
                       shadow_pairs=bytemap(shadow or {}),
                       twrite_pairs=bytemap(twrites or {}), page_dumps=dumps)
 
 
 def _ref(seq, vaddr, code=b"\x90"):
-    return InstrRef(seq=seq, pid=1, vaddr=vaddr, bytes=code)
+    return seq, vaddr, code
 
 
 def _call(seq, vaddr):
@@ -145,8 +145,8 @@ class TestGroupWave:
         trace, _ = generate_scenario("m1", 3)
         res = analyze(trace)
         for out in res.outputs:
-            for ref in out.record.instrs:
-                owners = [g for g in out.grouping.kept if holds(g, ref.vaddr)]
+            for _, vaddr, _ in instrs_of(out.record.instrs):
+                owners = [g for g in out.grouping.kept if holds(g, vaddr)]
                 assert len(owners) == 1
 
     def test_closure_soundness_no_refs_leave_groups(self):
@@ -206,7 +206,8 @@ class TestGroupEntry:
             for seed in range(10):
                 res = analyze(generate_scenario(sid, seed)[0])
                 for out in res.outputs:
-                    vaddrs = [ref.vaddr for ref in out.record.instrs]
+                    vaddrs = [vaddr for _, vaddr, _
+                              in instrs_of(out.record.instrs)]
                     for grp, art in zip(out.grouping.kept, out.artifacts):
                         first = next(v for v in vaddrs if holds(grp, v))
                         assert grp.entry == first, (sid, seed)

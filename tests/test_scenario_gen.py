@@ -101,7 +101,7 @@ def test_c4_payload_writers_are_untainted():
     target_waves = [r for r in res.collect.records if r.pid == TARGET_PID]
     assert len(target_waves) == 1
     assert len(target_waves[0].instrs) >= 1
-    wave_seqs = {ref.seq for ref in target_waves[0].instrs}
+    wave_seqs = set(target_waves[0].instrs.seqs)
     assert not wave_seqs & set(writer_seqs)
 
 

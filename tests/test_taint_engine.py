@@ -20,6 +20,7 @@ from oracles import (
     naive_tainted,
     naive_update,
     reference_classify_case,
+    reference_tainted_seqs,
 )
 from waveunpack.cli import main
 from waveunpack.scenario_gen import SCENARIO_IDS, generate_scenario
@@ -256,10 +257,14 @@ def test_oracle_equivalence_on_micro_traces(micro_trace):
 
 
 def test_mtrace_is_order_preserving_subsequence():
+    # each wave logs its instructions in trace order, and together they are
+    # the malware trace of the reference taint rules
     trace, _ = generate_scenario("m1", 4)
     result = collect_waves(trace)
-    seqs = [ref.seq for ref in result.mtrace]
-    assert seqs == sorted(seqs)
+    for rec in result.records:
+        assert list(rec.instrs.seqs) == sorted(rec.instrs.seqs)
+    seqs = reference_tainted_seqs(trace.events)
+    assert sorted(s for rec in result.records for s in rec.instrs.seqs) == seqs
     all_seqs = {ev.seq for ev in trace.events if ev.kind == "instr"}
     assert set(seqs) <= all_seqs
     assert len(seqs) < len(all_seqs)  # benign noise stays out

@@ -281,6 +281,9 @@ _MALFORMED = {
        for base, size in [(-1, 16), ((1 << 32) - 15, 16), (1 << 32, 1)]},
     "repeated seq": (_GOOD + _GOOD.splitlines()[2] + b"\n",
                      (4, "non-monotone seq 1 (previous 1)")),
+    **{f"seq {seq}": (_GOOD.replace(b'"seq":1,', b'"seq":%d,' % seq),
+                      (3, f"seq {seq} does not fit in signed 64 bits"))
+       for seq in (1 << 63, -(1 << 63) - 1)},
     "instr before image": (
         b"\n".join([_HEADER, _BARE_INSTR, _BARE_IMAGE]),
         (3, "instr event before any image event in the malware pid 1")),

@@ -8,8 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TaintedIds, bytemap
-from oracles import reference_classify_case, reference_verify_wave_semantics
+from conftest import TaintedIds, bytemap, instr_log, instrs_of
+from oracles import (
+    reference_classify_case,
+    reference_tainted_seqs,
+    reference_verify_wave_semantics,
+)
+from waveunpack.pipeline import analyze
 from waveunpack.scenario_gen import (
     MALWARE_PID,
     PAGE,
@@ -28,7 +33,6 @@ from waveunpack.trace_model import (
     TraceEvent,
 )
 from waveunpack.wave_collector import (
-    InstrRef,
     ProcessState,
     WaveRecord,
     classify_case,
@@ -91,23 +95,25 @@ class TestDumpWave:
         assert first.wave_index == 0
 
     def test_rotation_and_trigger(self):
+        # the trigger is appended after the close, so it opens the new wave
         state = ProcessState(pid=1, shadow=bytemap({0x400000: 0xCC}),
                              twrites=bytemap({0x600000: 0x90}),
-                             cur_instrs=[InstrRef(1, 1, 0x400000, b"\xcc")])
+                             instrs=instr_log([(1, 0x400000, b"\xcc")]))
         observed = ObservedMemory()
-        trigger = InstrRef(2, 1, 0x600000, b"\x90")
-        rec = dump_wave(state, trigger, observed, 4096)
+        rec = dump_wave(state, observed, 4096)
+        state.instrs.append(2, 0x600000, b"\x90")
         assert rec is not None and rec.wave_index == 0
         assert dict(rec.twrite_pairs.items()) == {0x600000: 0x90}
         assert 0x400000 in rec.page_dumps and 0x600000 in rec.page_dumps
         assert dict(state.shadow.items()) == {0x600000: 0x90}
         assert len(state.twrites) == 0 and not list(state.twrites.items())
-        assert state.cur_instrs == [trigger]
+        assert instrs_of(rec.instrs) == [(1, 0x400000, b"\xcc")]
+        assert instrs_of(state.instrs) == [(2, 0x600000, b"\x90")]
         assert state.wave_index == 1
 
     def test_flush_with_empty_wave_emits_nothing(self):
         state = ProcessState(pid=1, twrites=bytemap({0x600000: 1}))
-        assert dump_wave(state, None, ObservedMemory(), 4096) is None
+        assert dump_wave(state, ObservedMemory(), 4096) is None
         assert state.wave_index == 0
         assert dict(state.shadow.items()) == {0x600000: 1}
 
@@ -116,17 +122,17 @@ class TestDumpWave:
         # instruction list
         state = ProcessState(pid=1, shadow=bytemap({0x400000: 0xCC}),
                              twrites=bytemap({0x600000: 0x90}),
-                             cur_instrs=[InstrRef(1, 1, 0x400000, b"\xcc")])
-        rec = dump_wave(state, InstrRef(2, 1, 0x600000, b"\x90"),
-                        ObservedMemory(), 4096)
+                             instrs=instr_log([(1, 0x400000, b"\xcc")]))
+        rec = dump_wave(state, ObservedMemory(), 4096)
         state.shadow[0x400000] = 0x00
         state.shadow[0x700000] = 0x01
         state.twrites[0x600000] = 0x00
         state.twrites[0x700000] = 0x01
-        state.cur_instrs.append(InstrRef(3, 1, 0x700000, b"\x01"))
+        state.instrs.append(2, 0x600000, b"\x90")
+        state.instrs.append(3, 0x400000, b"\xcc")
         assert dict(rec.shadow_pairs.items()) == {0x400000: 0xCC}
         assert dict(rec.twrite_pairs.items()) == {0x600000: 0x90}
-        assert rec.instrs == [InstrRef(1, 1, 0x400000, b"\xcc")]
+        assert instrs_of(rec.instrs) == [(1, 0x400000, b"\xcc")]
         assert rec.entry_vaddr == 0x400000
 
     def test_record_takes_the_twrites_map(self):
@@ -134,8 +140,8 @@ class TestDumpWave:
         # new, empty one
         tw = bytemap({0x600000: 1})
         state = ProcessState(pid=1, twrites=tw,
-                             cur_instrs=[InstrRef(1, 1, 0x600000, b"\x90")])
-        rec = dump_wave(state, None, ObservedMemory(), 4096)
+                             instrs=instr_log([(1, 0x600000, b"\x90")]))
+        rec = dump_wave(state, ObservedMemory(), 4096)
         assert rec.twrite_pairs is tw
         assert dict(tw.items()) == {0x600000: 1}
         assert state.twrites is not tw
@@ -163,8 +169,8 @@ class TestCollectWaves:
         target_wave = _waves_of(result, TARGET_PID)[0]
         # arrival built the shadow from executed instructions only
         own = set()
-        for ref in target_wave.instrs:
-            own.update(ref.code_pairs())
+        for vaddr, code in target_wave.instrs.code:
+            own.update(zip(range(vaddr, vaddr + len(code)), code))
         assert set(target_wave.shadow_pairs.items()) <= own
 
     def test_taint_death_ends_collection_with_zero_waves(self):
@@ -178,7 +184,7 @@ class TestCollectWaves:
         never = _instr(seq=2, pid=1, vaddr=0x400000, gaddr=0x1000)
         trace = SystemTrace(events=[image, wipe, never])
         result = collect_waves(trace)
-        assert result.mtrace == []
+        assert reference_tainted_seqs(trace.events) == []
         assert result.records == []
 
     def test_closed_wave_twrites_unchanged_by_the_next_wave(self):
@@ -201,9 +207,9 @@ class TestCollectWaves:
     def test_partition_property(self):
         trace, _ = generate_scenario("m1", 6)
         result = collect_waves(trace)
-        from_waves = sorted(ref.seq for rec in result.records
-                            for ref in rec.instrs)
-        assert from_waves == [ref.seq for ref in result.mtrace]
+        from_waves = sorted(seq for rec in result.records
+                            for seq in rec.instrs.seqs)
+        assert from_waves == reference_tainted_seqs(trace.events)
 
     def test_wave_ordering_within_process(self):
         trace, _ = generate_scenario("d3", 2)
@@ -220,8 +226,54 @@ class TestCollectWaves:
         assert trace.events[-1].kind == "procexit"
 
 
+def _run_after_procexit_trace() -> SystemTrace:
+    """Pid 100 writes a page, exits, then runs on: image code (case 1, with
+    an API call), the written page (case 4), which writes a call, and that
+    call (case 2)."""
+    tb = TraceBuilder()
+    pid = MALWARE_PID
+    image = tb.image_region(pid, 0x400000)
+    gen = tb.region(random.Random(0), [pid])
+    tb.module(pid, 0x77000000, "kernel32", {"Sleep": 0x100})
+    jmp = b"\xe9" + struct.pack("<i", gen.addr(pid) - 0x40000A - 5)
+    call = b"\xff\x15\x00\x10\x40\x00"
+    code = b"\x90" + b"\xf3\xa4" + b"\x90" + call + jmp
+    tb.emit_image(image, code.ljust(PAGE, b"\xcc"), "late.exe")
+    tb.instr(pid, TID, 0x400000, image.g, code[:1])  # seq 1
+    tb.instr(pid, TID, 0x400001, image.g + 1, code[1:3],  # seq 2
+             writes=gen.locs(pid, 0, b"\xaa"))
+    tb.procexit(pid)
+    tb.instr(pid, TID, 0x400003, image.g + 3, code[3:4])  # seq 3
+    tb.instr(pid, TID, 0x400004, image.g + 4, call,  # seq 4
+             branch=Branch(0x77000100, "call"))
+    tb.instr(pid, TID, 0x40000A, image.g + 10, jmp,  # seq 5
+             branch=Branch(gen.addr(pid), "jmp"))
+    tb.instr(pid, TID, gen.addr(pid), gen.g, b"\xaa",  # seq 6
+             writes=gen.locs(pid, 1, b"\xff\xd0"))
+    tb.instr(pid, TID, gen.addr(pid, 1), gen.g + 1, b"\xff\xd0",  # seq 7
+             branch=Branch(0x77000100, "call"))
+    return tb.build()
+
+
+def test_pid_running_after_its_procexit_opens_new_waves():
+    # procexit closes wave 0; the pid's later code forms wave 1, and the
+    # case-2 call closes it and is the first instruction of wave 2, which
+    # its API call is stamped with; each wave's seqs are a run, pinned as
+    # its first and last seq and its length
+    trace = _run_after_procexit_trace()
+    result = collect_waves(trace)
+    assert [(r.pid, r.wave_index, r.first_seq, r.last_seq, len(r.instrs))
+            for r in result.records] == [(MALWARE_PID, 0, 1, 2, 2),
+                                         (MALWARE_PID, 1, 3, 6, 4),
+                                         (MALWARE_PID, 2, 7, 7, 1)]
+    assert [(c.caller_seq, c.wave_id) for c in result.calls] == [
+        (4, (MALWARE_PID, 1)), (7, (MALWARE_PID, 2))]
+    assert analyze(trace).violations == []
+
+
 def _mk_record(pid, widx, instrs, shadow, twrites):
-    return WaveRecord(pid=pid, wave_index=widx, instrs=instrs,
+    """A wave of (seq, vaddr, encoding) triples and the pairs of dicts."""
+    return WaveRecord(pid=pid, wave_index=widx, instrs=instr_log(instrs),
                       shadow_pairs=bytemap(shadow),
                       twrite_pairs=bytemap(twrites), page_dumps={})
 
@@ -238,33 +290,34 @@ class TestVerifySemantics:
         for sid in ("d1", "d4", "c2", "c4", "m1"):
             trace, _ = generate_scenario(sid, 5)
             result = collect_waves(trace)
-            assert verify_wave_semantics(result.records, result.mtrace,
+            assert verify_wave_semantics(result.records, result.records,
                                          result.image) == []
 
     def test_bullet1_missing_instruction(self):
         trace, _ = generate_scenario("d1", 0)
         result = collect_waves(trace)
         rec = result.records[1]
-        tampered = WaveRecord(rec.pid, rec.wave_index, rec.instrs[:-1],
+        tampered = WaveRecord(rec.pid, rec.wave_index,
+                              instr_log(instrs_of(rec.instrs)[:-1]),
                               rec.shadow_pairs, rec.twrite_pairs, {})
         records = [result.records[0], tampered]
-        violations = verify_wave_semantics(records, result.mtrace,
+        violations = verify_wave_semantics(records, result.records,
                                            result.image)
         assert any(v.bullet == 1 for v in violations)
 
     def test_bullet2_overlapping_waves(self):
-        a = _mk_record(1, 0, [InstrRef(5, 1, 0x400000, b"\x90")],
+        a = _mk_record(1, 0, [(5, 0x400000, b"\x90")],
                        {0x400000: 0x90}, {})
-        b = _mk_record(1, 1, [InstrRef(4, 1, 0x400001, b"\x90")],
+        b = _mk_record(1, 1, [(4, 0x400001, b"\x90")],
                        {0x400001: 0x90}, {})
         violations = verify_wave_semantics([a, b], [], None)
         assert any(v.bullet == 2 for v in violations)
 
     def test_bullet3_shadow_from_later_wave(self):
         # wave 0's shadow holds a pair only a later wave ever wrote
-        a = _mk_record(1, 0, [InstrRef(1, 1, 0x400000, b"\x90")],
+        a = _mk_record(1, 0, [(1, 0x400000, b"\x90")],
                        {0x400000: 0x90, 0x600000: 0x41}, {})
-        b = _mk_record(1, 1, [InstrRef(9, 1, 0x400001, b"\x90")],
+        b = _mk_record(1, 1, [(9, 0x400001, b"\x90")],
                        {0x400001: 0x90}, {0x600000: 0x41})
         image = TraceEvent(kind="image", pid=1, base=0x400000, gbase=0x1000,
                            name="t.exe", bytes=b"\x90\x90")
@@ -272,15 +325,15 @@ class TestVerifySemantics:
         assert any(v.bullet == 3 and v.wave_index == 0 for v in violations)
 
     def test_bullet4_instruction_missing_from_shadow(self):
-        rec = _mk_record(1, 0, [InstrRef(1, 1, 0x400000, b"\x90\x90")],
+        rec = _mk_record(1, 0, [(1, 0x400000, b"\x90\x90")],
                          {0x400000: 0x90}, {})
         violations = verify_wave_semantics([rec], [], None)
         assert any(v.bullet == 4 for v in violations)
 
     def test_duplicate_assignment_detected(self):
-        ref = InstrRef(1, 1, 0x400000, b"\x90")
+        ref = (1, 0x400000, b"\x90")
         a = _mk_record(1, 0, [ref], {0x400000: 0x90}, {})
-        b = _mk_record(1, 1, [InstrRef(2, 1, 0x400000, b"\x90"), ref],
+        b = _mk_record(1, 1, [(2, 0x400000, b"\x90"), ref],
                        {0x400000: 0x90}, {})
         violations = verify_wave_semantics([a, b], [], None)
         assert any(v.bullet == 1 for v in violations)
@@ -389,17 +442,25 @@ def classify_inputs(draw):
 
 
 def _copy_records(records: list[WaveRecord]) -> list[WaveRecord]:
-    return [WaveRecord(r.pid, r.wave_index, list(r.instrs),
+    """Copies of `records` whose `instrs` are lists of (seq, vaddr,
+    encoding), for faults to edit; `_logged` turns them back into logs."""
+    return [WaveRecord(r.pid, r.wave_index, instrs_of(r.instrs),
                        r.shadow_pairs.copy(), r.twrite_pairs.copy(), {})
             for r in records]
 
 
+def _logged(records: list[WaveRecord]) -> list[WaveRecord]:
+    for rec in records:
+        rec.instrs = instr_log(rec.instrs)
+    return records
+
+
 @functools.cache
 def _collected(sid: str, seed: int):
-    """Image, records and malware trace of one scenario; copy before editing."""
+    """Image and waves of one scenario; copy before editing."""
     trace, _ = generate_scenario(sid, seed)
     result = collect_waves(trace)
-    return result.image, result.records, result.mtrace
+    return result.image, result.records
 
 
 _FAULTS = ("missing shadow byte", "foreign shadow pair", "overlapping waves",
@@ -413,41 +474,42 @@ def _inject(draw, fault: str, records: list[WaveRecord], next_seq: int):
 
     rec = pick(records)
     ref = pick(rec.instrs)
+    _, vaddr, code = ref
     at = draw(st.integers(0, len(rec.instrs)))
     if fault == "missing shadow byte":
         rec.shadow_pairs = _without(
-            rec.shadow_pairs, ref.vaddr + draw(st.integers(0, len(ref.bytes) - 1)))
+            rec.shadow_pairs, vaddr + draw(st.integers(0, len(code) - 1)))
     elif fault == "foreign shadow pair":
         addrs = [v for v, _ in rec.shadow_pairs.items()]
-        v = pick(addrs) if addrs else ref.vaddr
+        v = pick(addrs) if addrs else vaddr
         rec.shadow_pairs[v] = (rec.shadow_pairs.get(v, 0)
                                + draw(st.integers(1, 255))) % 256
     elif fault == "overlapping waves":
         # a late instruction pushes this wave past its successor's start
-        rec.instrs.append(InstrRef(next_seq, rec.pid, ref.vaddr, ref.bytes))
+        rec.instrs.append((next_seq, vaddr, code))
     elif fault == "duplicated seq":
         rec.instrs.insert(at, pick(pick(records).instrs))
     elif fault == "instruction in no wave":
         if len(rec.instrs) > 1:
             rec.instrs.remove(ref)
     elif fault == "repeated encoding":  # the same (vaddr, bytes) again
-        rec.instrs.insert(at, InstrRef(next_seq, rec.pid, ref.vaddr, ref.bytes))
+        rec.instrs.insert(at, (next_seq, vaddr, code))
     else:  # other bytes at an executed address
-        code = bytes(b ^ 0xFF for b in ref.bytes[:draw(st.integers(1, 15))])
-        rec.instrs.insert(at, InstrRef(next_seq, rec.pid, ref.vaddr, code))
+        other = bytes(b ^ 0xFF for b in code[:draw(st.integers(1, 15))])
+        rec.instrs.insert(at, (next_seq, vaddr, other))
 
 
 @st.composite
 def faulty_collections(draw):
     sid = draw(st.sampled_from(SCENARIO_IDS))
-    image, records, mtrace = _collected(sid, draw(st.integers(0, 2)))
-    records = _copy_records(records)
-    next_seq = max((ref.seq for ref in mtrace), default=0) + 1
+    image, collected = _collected(sid, draw(st.integers(0, 2)))
+    records = _copy_records(collected)
+    next_seq = max((rec.last_seq for rec in collected), default=0) + 1
     for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=6)):
         if records:
             _inject(draw, fault, records, next_seq)
             next_seq += 1
-    return records, mtrace, image if draw(st.booleans()) else None
+    return _logged(records), collected, image if draw(st.booleans()) else None
 
 
 class TestReferenceEquivalence:
@@ -463,36 +525,37 @@ class TestReferenceEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(faulty_collections())
     def test_verify_matches_reference(self, collection):
-        records, mtrace, image = collection
-        got = [str(v) for v in verify_wave_semantics(records, mtrace, image)]
-        assert got == reference_verify_wave_semantics(records, mtrace, image)
+        records, collected, image = collection
+        got = [str(v) for v in verify_wave_semantics(records, collected, image)]
+        assert got == reference_verify_wave_semantics(records, collected, image)
 
     @pytest.mark.parametrize("fault", _FAULTS)
     def test_each_fault_is_reported_alike(self, fault):
-        image, records, mtrace = _collected("d3", 1)
-        records = _copy_records(records)
+        image, collected = _collected("d3", 1)
+        records = _copy_records(collected)
         rec = records[0]
         ref = rec.instrs[0]
-        next_seq = mtrace[-1].seq + 1
+        _, vaddr, code = ref
+        next_seq = max(r.last_seq for r in collected) + 1
         if fault == "missing shadow byte":
-            rec.shadow_pairs = _without(rec.shadow_pairs, ref.vaddr)
+            rec.shadow_pairs = _without(rec.shadow_pairs, vaddr)
         elif fault == "foreign shadow pair":
-            rec.shadow_pairs[ref.vaddr] = rec.shadow_pairs.get(ref.vaddr) ^ 0xFF
+            rec.shadow_pairs[vaddr] = rec.shadow_pairs.get(vaddr) ^ 0xFF
         elif fault == "overlapping waves":
-            rec.instrs.append(InstrRef(next_seq, rec.pid, ref.vaddr, ref.bytes))
+            rec.instrs.append((next_seq, vaddr, code))
         elif fault == "duplicated seq":
             records[1].instrs.append(ref)
         elif fault == "instruction in no wave":
             rec.instrs.remove(ref)
         elif fault == "rewritten encoding":
-            rec.instrs.append(InstrRef(next_seq, rec.pid, ref.vaddr, b"\xcc"))
+            rec.instrs.append((next_seq, vaddr, b"\xcc"))
         else:
-            rec.shadow_pairs = _without(rec.shadow_pairs, ref.vaddr)
-            rec.instrs += [InstrRef(next_seq + i, rec.pid, ref.vaddr, ref.bytes)
-                           for i in range(3)]
-        got = [str(v) for v in verify_wave_semantics(records, mtrace, image)]
+            rec.shadow_pairs = _without(rec.shadow_pairs, vaddr)
+            rec.instrs += [(next_seq + i, vaddr, code) for i in range(3)]
+        records = _logged(records)
+        got = [str(v) for v in verify_wave_semantics(records, collected, image)]
         assert got, fault
-        assert got == reference_verify_wave_semantics(records, mtrace, image)
+        assert got == reference_verify_wave_semantics(records, collected, image)
 
 
 def chain_trace(stages: int, seed: int = 0) -> SystemTrace:
@@ -534,19 +597,20 @@ def test_verify_matches_reference_on_a_long_chain():
     quadratic specification does, in the same order."""
     result = collect_waves(chain_trace(200))
     assert len(result.records) == 201
-    assert verify_wave_semantics(result.records, result.mtrace,
+    assert verify_wave_semantics(result.records, result.records,
                                  result.image) == []
     records = _copy_records(result.records)
     # wave 51 starts with wave 50's first instruction, so wave 50 is no
     # longer earlier: its pad byte in wave 51's shadow loses provenance
     records[51].instrs.insert(0, records[50].instrs[0])
-    pad = records[120].entry_vaddr + 7
+    pad = result.records[120].entry_vaddr + 7
     records[120].shadow_pairs[pad] = records[120].shadow_pairs.get(pad) ^ 0xFF
+    records = _logged(records)
     random.Random(1).shuffle(records)
     for listed in (records, records[::-1]):  # the tie either way round
-        got = [str(v) for v in verify_wave_semantics(listed, result.mtrace,
+        got = [str(v) for v in verify_wave_semantics(listed, result.records,
                                                      result.image)]
-        assert got == reference_verify_wave_semantics(listed, result.mtrace,
+        assert got == reference_verify_wave_semantics(listed, result.records,
                                                       result.image)
         assert [g.split(":")[0] for g in got if g.startswith("bullet 3")] == [
             f"bullet 3 (pid {MALWARE_PID} wave {r.wave_index})"
